@@ -251,12 +251,12 @@ func BenchmarkReference_Task23(b *testing.B) {
 	}
 }
 
-// Host-parallel execution (internal/parexec) — the same reference tasks
-// driven through the explicit-pool entry points at one worker versus
-// every host core, at the mid-sweep and full-capacity points. Results
-// are bit-identical at any worker count (see
-// internal/platform/workers_test.go); only host wall time and the
-// fixed per-dispatch bookkeeping differ.
+// Host-parallel execution (internal/parexec) — Task 1 through its
+// explicit-pool entry point and the fused Task 2+3 through an all-pairs
+// tasks.Detector, at one worker versus every host core, at the
+// mid-sweep and full-capacity points. Results are bit-identical at any
+// worker count (see internal/platform/workers_test.go); only host wall
+// time and the fixed per-dispatch bookkeeping differ.
 func benchParExecTask1(b *testing.B, n, workers int) {
 	b.Helper()
 	b.ReportAllocs()
@@ -276,15 +276,17 @@ func benchParExecTask1(b *testing.B, n, workers int) {
 func benchParExecTask23(b *testing.B, n, workers int) {
 	b.Helper()
 	b.ReportAllocs()
-	pool := parexec.NewPool(workers)
+	det := tasks.NewDetector(nil, parexec.NewPool(workers))
 	w, _ := benchWorld(n)
 	wc := &airspace.World{}
+	w.CloneInto(wc)
+	det.DetectResolve(wc) // size the detector's scratch
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		w.CloneInto(wc)
 		b.StartTimer()
-		tasks.DetectResolveExec(wc, nil, pool)
+		det.DetectResolve(wc)
 	}
 }
 
@@ -400,8 +402,8 @@ func BenchmarkVector_Task23_XeonPhi(b *testing.B) {
 	}
 }
 
-// Broad-phase pruning — one reference Task 2 detection pass per pair
-// source (T-BP / results/broadphase.csv). pairChecks/op reports the
+// Broad-phase pruning — one Task 2 detection pass per index (T-BP /
+// results/broadphase.csv). pairChecks/op reports the
 // exact pair-evaluation count alongside the wall time, so a single run
 // shows both wins. Brute is quadratic and therefore only benchmarked to
 // 10k aircraft; at 100k one all-pairs pass costs ~10^10 pair visits,
@@ -411,22 +413,22 @@ func benchDetectWith(b *testing.B, source string, n int) {
 	b.Helper()
 	b.ReportAllocs()
 	w, _ := benchWorld(n)
-	src := broadphase.MustNew(source)
+	det := tasks.NewDetector(broadphase.MustNew(source), nil)
 	wc := &airspace.World{}
 	var checks int
-	// One untimed pass grows the source's index and the detect scratch
-	// to n aircraft. Every function on the steady-state path is under
-	// the //atm:noalloc contract (see internal/tasks's noalloc
-	// manifest), so with the cold-path growth hoisted out here the
-	// timed loop benches 0 allocs/op.
+	// One untimed pass grows the index and the detector's scratch to n
+	// aircraft. Every function on the steady-state path is under the
+	// //atm:noalloc contract (see internal/tasks's noalloc manifest), so
+	// with the cold-path growth hoisted out here the timed loop benches
+	// 0 allocs/op.
 	w.CloneInto(wc)
-	tasks.DetectWith(wc, src)
+	det.Detect(wc)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		w.CloneInto(wc)
 		b.StartTimer()
-		st := tasks.DetectWith(wc, src)
+		st := det.Detect(wc)
 		checks = st.PairChecks
 	}
 	b.ReportMetric(float64(checks), "pairChecks/op")
@@ -441,66 +443,21 @@ func BenchmarkBroadphase_Sweep_1000(b *testing.B)   { benchDetectWith(b, broadph
 func BenchmarkBroadphase_Sweep_10000(b *testing.B)  { benchDetectWith(b, broadphase.SweepName, 10000) }
 func BenchmarkBroadphase_Sweep_100000(b *testing.B) { benchDetectWith(b, broadphase.SweepName, 100000) }
 
-// Temporal coherence — the steady-state detection period at the
-// mid-sweep point (T-COH / results/coherence.csv). Unlike benchDetect,
-// the world is not restored between iterations: it advances one period
-// of dead reckoning per op, exactly the motion a persistent broad phase
-// sees in a real run, so the incremental lane measures the repair path
-// (the first iteration's full build is excluded by a warm-up pass).
-// Both lanes use a persistent sweep source; the only difference is the
-// coherent mode, so the pair is the rebuild-vs-incremental comparison
-// scripts/benchdiff.sh and DESIGN.md §10 cite.
-func benchCoherentDetect(b *testing.B, incremental bool) {
-	b.Helper()
-	b.ReportAllocs()
-	w, _ := benchWorld(benchN)
-	var src broadphase.PairSource
-	if incremental {
-		src = broadphase.NewIncrementalSweep()
-	} else {
-		src = broadphase.MustNew(broadphase.SweepName)
-	}
-	pool := parexec.NewPool(1)
-	advance := func() {
-		for i := range w.Aircraft {
-			a := &w.Aircraft[i]
-			a.X += a.DX
-			a.Y += a.DY
-			airspace.Wrap(a)
-		}
-	}
-	// Warm-up: size every buffer and pay the initial full sort so the
-	// timed loop is pure steady state.
-	tasks.DetectResolveExec(w, src, pool)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		advance()
-		b.StartTimer()
-		tasks.DetectResolveExec(w, src, pool)
-	}
-}
-
-func BenchmarkCoherent_Task23_4000_Rebuild(b *testing.B)     { benchCoherentDetect(b, false) }
-func BenchmarkCoherent_Task23_4000_Incremental(b *testing.B) { benchCoherentDetect(b, true) }
-
 // Worker-parallel broad phase + batched pair kernel (T-PS /
-// results/parshard.csv) — the same steady-state fused Task 2+3 period
-// as benchCoherentDetect, on the sharded table mode composed with the
-// coherent sweep: the broad phase builds its pair table across the
-// worker pool and the scan runs the branch-free 8-wide kernel. The W1
-// lanes price the batched kernel alone (the table build and repair run
-// serially); the W8 lanes add the worker-parallel build. Results are
-// bit-identical to the scalar lanes at every worker count, so the
-// delta against BenchmarkCoherent_Task23_4000_Incremental is pure
-// host-time win (scripts/benchdiff.sh reports it as
-// parshard_improvement_pct).
+// results/parshard.csv) — the steady-state fused Task 2+3 period on
+// the sweep index. Unlike benchDetect, the world is not restored
+// between iterations: it advances one period of dead reckoning per op,
+// exactly the motion a persistent broad phase sees in a real run, so
+// the sweep measures its repair path. The broad phase builds its pair
+// table across the worker pool and the scan runs the branch-free
+// 8-wide kernel. The W1 lanes run the table build and repair serially;
+// the W8 lanes add the worker-parallel build. Results are bit-identical
+// at every worker count.
 func benchParShardDetect(b *testing.B, n, workers int) {
 	b.Helper()
 	b.ReportAllocs()
 	w, _ := benchWorld(n)
-	src := broadphase.NewShardedSweep(true)
-	pool := parexec.NewPool(workers)
+	det := tasks.NewDetector(broadphase.NewSweep(), parexec.NewPool(workers))
 	advance := func() {
 		for i := range w.Aircraft {
 			a := &w.Aircraft[i]
@@ -514,7 +471,7 @@ func benchParShardDetect(b *testing.B, n, workers int) {
 	// moving passes let the table's headroom policy settle at the
 	// workload's drift rate.
 	for i := 0; i < 4; i++ {
-		tasks.DetectResolveExec(w, src, pool)
+		det.DetectResolve(w)
 		advance()
 	}
 	b.ResetTimer()
@@ -522,7 +479,7 @@ func benchParShardDetect(b *testing.B, n, workers int) {
 		b.StopTimer()
 		advance()
 		b.StartTimer()
-		tasks.DetectResolveExec(w, src, pool)
+		det.DetectResolve(w)
 	}
 }
 

@@ -49,10 +49,6 @@ func main() {
 			"scenario family spec, e.g. circle:radius=50,speed=250 (families: "+scenario.FamilyNames()+"; empty = the paper's uniform setup)")
 		pairSource = flag.String("pairsource", "",
 			"broad-phase pair source for collision detection ("+strings.Join(broadphase.Names(), ", ")+"; empty = all-pairs)")
-		coherent = flag.Bool("coherent", false,
-			"temporal-coherence mode: keep the broad-phase index across periods and repair it incrementally (needs -pairsource; results are bit-identical, only host time changes)")
-		parshard = flag.Bool("parshard", false,
-			"sharded broad phase: build the candidate table with a worker-parallel index walk and feed the batched pair kernel from it (needs -pairsource; results are bit-identical, only host time changes)")
 		verbose = flag.Bool("v", false, "print per-period detail")
 		watch   = flag.Bool("watch", false, "render an ASCII plan view of the airfield after each major cycle")
 		record  = flag.String("record", "", "record the run as JSON lines to this file")
@@ -75,8 +71,6 @@ func main() {
 		Periods:    *cycles * sched.PeriodsPerMajorCycle,
 		Workers:    *workers,
 		PairSource: *pairSource,
-		Coherent:   *coherent,
-		ParShard:   *parshard,
 		Scenario:   *scenarioSpec,
 	}
 	if err := params.Validate(); err != nil {
@@ -93,7 +87,7 @@ func main() {
 		detail:   *detail,
 		capacity: *capacity,
 	}
-	if err := run(*platformName, *n, *cycles, *seed, *noise, *scenarioSpec, *pairSource, *coherent, *parshard, *verbose, *watch, *record, tc); err != nil {
+	if err := run(*platformName, *n, *cycles, *seed, *noise, *scenarioSpec, *pairSource, *verbose, *watch, *record, tc); err != nil {
 		fmt.Fprintln(os.Stderr, "atmsim:", err)
 		os.Exit(1)
 	}
@@ -189,13 +183,13 @@ func (tc telemetryConfig) flush(rec *telemetry.Recorder) error {
 	return write(tc.metrics, func(f *os.File) error { return telemetry.PeriodDataset(rec, "atmsim").WriteCSV(f) })
 }
 
-func run(platformName string, n, cycles int, seed uint64, noise float64, scenarioSpec, pairSource string, coherent, parshard, verbose, watch bool, record string, tc telemetryConfig) error {
+func run(platformName string, n, cycles int, seed uint64, noise float64, scenarioSpec, pairSource string, verbose, watch bool, record string, tc telemetryConfig) error {
 	// Flag validation already happened in main via core.RunParams.
 	p, err := platform.New(platformName, seed)
 	if err != nil {
 		return err
 	}
-	sys := core.NewSystem(p, core.Config{N: n, Seed: seed, Noise: noise, Scenario: scenarioSpec, PairSource: pairSource, Incremental: coherent, ParShard: parshard})
+	sys := core.NewSystem(p, core.Config{N: n, Seed: seed, Noise: noise, Scenario: scenarioSpec, PairSource: pairSource})
 	rec, pub, telemetrySrv, err := tc.attach(sys)
 	if err != nil {
 		return err
@@ -223,14 +217,7 @@ func run(platformName string, n, cycles int, seed uint64, noise float64, scenari
 		fmt.Printf("scenario : %s\n", spec.String())
 	}
 	if pairSource != "" {
-		mode := "rebuild per task"
-		if coherent {
-			mode = "coherent (incremental repair)"
-		}
-		if parshard {
-			mode += ", sharded (parallel table + batched kernel)"
-		}
-		fmt.Printf("pruning  : broad-phase pair source %q, %s\n", pairSource, mode)
+		fmt.Printf("pruning  : broad-phase pair source %q\n", pairSource)
 	}
 	fmt.Printf("aircraft : %d   major cycles: %d   period: %v\n\n", n, cycles, sched.PeriodDur)
 

@@ -16,7 +16,7 @@ package airspace
 //
 // A Columns is a snapshot: callers refresh it with FillFrom once per
 // task invocation and must mirror any mid-task velocity commit into DX
-// and DY themselves (the coherent executors do exactly that at their
+// and DY themselves (the detection executors do exactly that at their
 // heading-commit sites).
 type Columns struct {
 	X, Y   []float64

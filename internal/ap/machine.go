@@ -123,14 +123,11 @@ type Machine struct {
 	// candMask is a per-PE candidate flag used by the opt-in broadphase
 	// variant of the detection program.
 	candMask []bool
-	// candBuf is the reusable candidate buffer for the broadphase
-	// control-unit scatter.
-	candBuf []int32
 	// matchedRadar is TrackProgram's per-aircraft paired-radar table.
 	matchedRadar []int32
 	// cols is the machine's SoA mirror of the flight database, refreshed
-	// once per coherent detection program and kept in sync at heading
-	// commits; the wide scans read it instead of striding []Aircraft.
+	// once per detection program and kept in sync at heading commits;
+	// the wide scans read it instead of striding []Aircraft.
 	cols airspace.Columns
 
 	// Per-chunk reduction partials.

@@ -15,7 +15,7 @@ import (
 // reallocating it.
 type Platform struct {
 	prof    Profile
-	src     broadphase.PairSource
+	idx     broadphase.Index
 	workers int
 	m       *Machine
 	rec     *telemetry.Recorder
@@ -44,11 +44,10 @@ func (p *Platform) SetWorkers(n int) {
 	}
 }
 
-// SetPairSource installs a broadphase pair source for the detection
-// program (nil keeps the full associative scan). On a true AP this only
-// trims the PairChecks account, not the wide-operation time — see
-// apScan.
-func (p *Platform) SetPairSource(src broadphase.PairSource) { p.src = src }
+// SetPairSource installs a broadphase index for the detection program
+// (nil keeps the full associative scan). On a true AP this only trims
+// the PairChecks account, not the wide-operation time — see apScan.
+func (p *Platform) SetPairSource(idx broadphase.Index) { p.idx = idx }
 
 // SetTelemetry attaches a recorder (nil detaches): each task then
 // records one span per program phase, reconstructed from the
@@ -104,7 +103,7 @@ func (p *Platform) DetectResolve(w *airspace.World) time.Duration {
 	if p.rec != nil {
 		m.beginMarks()
 	}
-	st := DetectResolveProgramWith(m, w, p.src)
+	st := DetectResolveProgramWith(m, w, p.idx)
 	d := m.Time()
 	if p.rec != nil {
 		p.emitMarks(m, d)

@@ -167,12 +167,15 @@ func TrackProgram(m *Machine, w *airspace.World, f *radar.Frame) tasks.Correlate
 // the whole database in one associative pass: a broadcast of the track
 // record, a wide evaluation of Equations 1-6 on every PE, and a
 // constant-time min-reduction over the critical responders. Semantics
-// match tasks.scan exactly (min over strict improvements, lowest index
-// wins ties).
+// match the tasks specification exactly (min over strict improvements,
+// lowest index wins ties). The PE-memory reads come from the machine's
+// SoA mirror of the database, refreshed each program run and updated
+// at heading commits, so they see exactly the values of the records.
 //
-// When a broadphase source is supplied, the control unit scatters the
-// candidate flags into PE memory before the search and the responder
-// mask is additionally narrowed to candidates. An associative search is
+// When a broadphase index is installed, the control unit scatters the
+// track's candidate flags into PE memory before the search (every PE's,
+// for the all-pairs oracle's nil table) and a table row additionally
+// narrows the responder mask to candidates. An associative search is
 // constant-time over all PEs regardless of the mask, so pruning does
 // not shorten the wide operations — it trims PairChecks (and the
 // control-unit work those would imply on other machines), which is the
@@ -180,62 +183,42 @@ func TrackProgram(m *Machine, w *airspace.World, f *radar.Frame) tasks.Correlate
 // processor: nothing on the wide path. Exactness is unaffected: pairs
 // outside a candidate set have tmin >= SafeTime and could never survive
 // the criticality mask anyway.
-// In coherent mode (cols non-nil) the PE-memory reads come from the
-// machine's SoA mirror instead of the []Aircraft records: same values
-// (the mirror is refreshed each program run and updated at heading
-// commits), so the responder masks and reductions are bit-identical.
-func apScan(m *Machine, w *airspace.World, idx int, vx, vy float64, st *tasks.DetectStats, src broadphase.PairSource, tab *broadphase.PairTable, cols *airspace.Columns) (earliest float64, with int32, critical bool) {
-	ac := w.Aircraft
-	track := &ac[idx]
+func apScan(m *Machine, idx int, vx, vy float64, st *tasks.DetectStats, indexed bool, tab *broadphase.PairTable) (earliest float64, with int32, critical bool) {
+	cols := &m.cols
+	n := cols.N()
 	m.Broadcast(5) // x, y, vx, vy, alt
 
 	// tmin per PE, computed by the wide Batcher evaluation.
 	// The slice is scratch PE memory; allocate once per machine.
-	if len(m.scratch) < len(ac) {
-		m.scratch = make([]float64, len(ac))
+	if len(m.scratch) < n {
+		m.scratch = make([]float64, n)
 	}
 	tm := m.scratch
 
+	// Control-unit scatter of the candidate flags into PE memory.
 	var cand []int32
-	if src != nil {
-		if tab != nil {
-			// Sharded source: the scatter reads the pre-built table slice
-			// — the identical candidate set a fresh query would emit.
-			cand = tab.Candidates(idx)
-		} else {
-			cand = src.AppendCandidates(m.candBuf[:0], w, track)
-			m.candBuf = cand
-		}
-		if len(m.candMask) < len(ac) {
-			m.candMask = make([]bool, len(ac))
+	if tab != nil {
+		cand = tab.Candidates(idx)
+		if len(m.candMask) < n {
+			m.candMask = make([]bool, n)
 		}
 		for _, p := range cand {
 			m.candMask[p] = true
 		}
-		// Control-unit scatter of the candidate flags into PE memory.
 		m.Scalar(len(cand))
+	} else if indexed {
+		m.Scalar(n) // the all-pairs oracle flags every PE
 	}
 
-	if cols != nil {
-		talt := cols.Alt[idx]
-		m.Search(2, func(p int) bool {
-			if src != nil && !m.candMask[p] {
-				return false
-			}
-			return p != idx && tasks.AltOverlapAt(talt, cols.Alt[p])
-		})
-	} else {
-		m.Search(2, func(p int) bool {
-			if src != nil && !m.candMask[p] {
-				return false
-			}
-			return p != idx && tasks.AltOverlap(track, &ac[p])
-		})
-	}
-	if src != nil {
-		for _, p := range cand {
-			m.candMask[p] = false
+	talt := cols.Alt[idx]
+	m.Search(2, func(p int) bool {
+		if tab != nil && !m.candMask[p] {
+			return false
 		}
+		return p != idx && tasks.AltOverlapAt(talt, cols.Alt[p])
+	})
+	for _, p := range cand {
+		m.candMask[p] = false
 	}
 	checks := 0
 	for _, r := range m.Mask() {
@@ -247,32 +230,18 @@ func apScan(m *Machine, w *airspace.World, idx int, vx, vy float64, st *tasks.De
 
 	// Wide evaluation of Equations 1-6 (the 4 divisions, the interval
 	// intersection and the horizon clip): ~14 word operations.
-	if cols != nil {
-		tx, ty := cols.X[idx], cols.Y[idx]
-		m.ParallelOp(14, func(p int) {
-			if !m.mask[p] {
-				return
-			}
-			tmin, tmax, ok := tasks.PairConflictAt(tx, ty, vx, vy, cols.X[p], cols.Y[p], cols.DX[p], cols.DY[p])
-			if ok && tmin < tmax {
-				tm[p] = tmin
-			} else {
-				tm[p] = airspace.SafeTime
-			}
-		})
-	} else {
-		m.ParallelOp(14, func(p int) {
-			if !m.mask[p] {
-				return
-			}
-			tmin, tmax, ok := tasks.PairConflict(track.X, track.Y, vx, vy, &ac[p])
-			if ok && tmin < tmax {
-				tm[p] = tmin
-			} else {
-				tm[p] = airspace.SafeTime
-			}
-		})
-	}
+	tx, ty := cols.X[idx], cols.Y[idx]
+	m.ParallelOp(14, func(p int) {
+		if !m.mask[p] {
+			return
+		}
+		tmin, tmax, ok := tasks.PairConflictAt(tx, ty, vx, vy, cols.X[p], cols.Y[p], cols.DX[p], cols.DY[p])
+		if ok && tmin < tmax {
+			tm[p] = tmin
+		} else {
+			tm[p] = airspace.SafeTime
+		}
+	})
 	m.MaskAnd(func(p int) bool { return tm[p] < airspace.SafeTime })
 
 	earliest, arg := m.MinReduce(airspace.SafeTime, func(p int) float64 { return tm[p] })
@@ -298,49 +267,24 @@ func DetectResolveProgram(m *Machine, w *airspace.World) tasks.DetectStats {
 }
 
 // DetectResolveProgramWith is DetectResolveProgram with an optional
-// broadphase pair source (nil keeps the paper's full associative scan).
-// The in-place course commits of the sequential control flow are safe
+// broadphase index (nil keeps the paper's full associative scan). The
+// in-place course commits of the sequential control flow are safe
 // under pruning because the broadphase envelopes depend only on speed,
 // which rotation preserves (see package broadphase).
 //
 //atm:modeled-time
-func DetectResolveProgramWith(m *Machine, w *airspace.World, src broadphase.PairSource) tasks.DetectStats {
+func DetectResolveProgramWith(m *Machine, w *airspace.World, idx broadphase.Index) tasks.DetectStats {
 	var st tasks.DetectStats
 	m.mark("ap.load", 0)
 	m.LoadDatabase(databaseFields)
-	var cols *airspace.Columns
-	if im := broadphase.MaintainerOf(src); im != nil && im.Incremental() {
-		// Coherent mode: the wide scans read the machine's SoA mirror,
-		// and an incremental source repairs its order from it. The
-		// cycle charge is identical to the rebuild path; only the span
-		// name reports which path ran.
-		cols = &m.cols
-		cols.FillFrom(w)
-		name := "ap.index.rebuild"
-		if cp, ok := im.(broadphase.ColumnsPreparer); ok {
-			cp.PrepareColumns(cols)
-		} else {
-			src.Prepare(w)
-		}
-		if im.LastPrepareIncremental() {
-			name = "ap.index.update"
-		}
-		m.mark(name, 0)
-		// Control-unit index build over the database.
-		m.Scalar(w.N())
-	} else if src != nil {
-		src.Prepare(w)
-		// Control-unit index build over the database.
-		m.Scalar(w.N())
-	}
-	// A sharded source materializes the candidate table once (serial on
-	// the control unit: the AP models no host worker pool); the per-PE
-	// scatter then reads table slices instead of re-querying, with
-	// identical candidates and cycle charges.
+	m.cols.FillFrom(w)
 	var tab *broadphase.PairTable
-	if ts := broadphase.TableOf(src); ts != nil {
-		ts.SetPool(nil)
-		tab = ts.PrepareTable()
+	if idx != nil {
+		// Control-unit index build over the database, serial: the AP
+		// models no host worker pool.
+		m.mark("ap.index", 0)
+		tab = idx.Build(&m.cols, nil)
+		m.Scalar(w.N())
 	}
 	m.mark("ap.scanresolve", 0)
 	ac := w.Aircraft
@@ -348,7 +292,7 @@ func DetectResolveProgramWith(m *Machine, w *airspace.World, src broadphase.Pair
 		track := &ac[i]
 		track.ResetConflict()
 		m.Scalar(4)
-		tmin, with, critical := apScan(m, w, i, track.DX, track.DY, &st, src, tab, cols)
+		tmin, with, critical := apScan(m, i, track.DX, track.DY, &st, idx != nil, tab)
 		if !critical {
 			continue
 		}
@@ -362,12 +306,10 @@ func DetectResolveProgramWith(m *Machine, w *airspace.World, src broadphase.Pair
 			m.Scalar(8) // rotate on the control unit
 			v := base.Rotate(deg)
 			track.BatX, track.BatY = v.X, v.Y
-			tmin, with, critical = apScan(m, w, i, v.X, v.Y, &st, src, tab, cols)
+			tmin, with, critical = apScan(m, i, v.X, v.Y, &st, idx != nil, tab)
 			if !critical {
 				track.DX, track.DY = v.X, v.Y
-				if cols != nil {
-					cols.SetVel(i, v.X, v.Y)
-				}
+				m.cols.SetVel(i, v.X, v.Y)
 				track.ResetConflict()
 				st.Resolved++
 				resolved = true

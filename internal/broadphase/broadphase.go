@@ -1,26 +1,26 @@
 // Package broadphase prunes the O(n²) pair enumeration at the heart of
 // the collision-detection tasks (Algorithm 2, Equations 1-6). Every
 // platform's Tasks 2-3 scan compares each track aircraft against every
-// other aircraft; a PairSource replaces that full scan with a candidate
+// other aircraft; an Index replaces that full scan with a candidate
 // set that is provably a superset of the pairs that can influence the
 // result, so detection output is bit-for-bit identical while the number
 // of pair evaluations drops from O(n²) toward O(n).
 //
 // # Exactness argument
 //
-// The per-track scan (tasks.scan and its platform ports) initializes
-// its running minimum to airspace.SafeTime and only records conflicts
-// whose window start tmin is strictly below it; since SafeTime equals
-// the criticality threshold airspace.CriticalTime, a pair whose
-// earliest conflict lies at or beyond CriticalTime periods can never
-// change the scan's earliest time, its conflict partner, or the
-// critical verdict. A conflict with tmin < CriticalTime requires both
+// The per-track scan (tasks.scanTableBatch and its platform ports)
+// initializes its running minimum to airspace.SafeTime and only records
+// conflicts whose window start tmin is strictly below it; since
+// SafeTime equals the criticality threshold airspace.CriticalTime, a
+// pair whose earliest conflict lies at or beyond CriticalTime periods
+// can never change the scan's earliest time, its conflict partner, or
+// the critical verdict. A conflict with tmin < CriticalTime requires both
 // axis separations to be within airspace.SepTotal at some instant
 // t ∈ [0, CriticalTime); at that instant each aircraft sits inside its
 // own reach envelope — the axis-aligned box of every position the
 // aircraft can occupy within CriticalTime periods at its current
 // *speed*, under any heading, expanded by half the separation bound
-// (Reach). Two aircraft can therefore only matter to each other if
+// (ReachAt). Two aircraft can therefore only matter to each other if
 // their reach envelopes overlap on both axes.
 //
 // The envelope deliberately uses the speed ball rather than the
@@ -28,16 +28,17 @@
 // ±30° and the sequential reference commits a successful rotation in
 // place, mid-run. Rotation preserves speed, so a speed-ball envelope
 // built once per Detect/DetectResolve invocation stays valid for every
-// probed and every committed heading — no index maintenance, no
-// ordering sensitivity. (The paper's full 20-minute look-ahead horizon
+// probed and every committed heading — no index maintenance within an
+// invocation, no ordering sensitivity. (The paper's full 20-minute look-ahead horizon
 // would be useless as a pruning bound: at 600 knots an aircraft crosses
 // 200 nm in 20 minutes, most of the 256 nm field; the critical window
 // is the bound that actually prunes, and it is the exact one.)
 //
-// Candidate sets are returned in ascending aircraft-index order so that
-// the scan's first-wins tie-break on equal conflict times matches the
-// full scan exactly. Sets may include the track aircraft itself;
-// callers already skip it.
+// An Index materializes every track's candidate set for one Task 2+3
+// invocation as a CSR PairTable. Rows are in ascending aircraft-index
+// order so that the scan's first-wins tie-break on equal conflict times
+// matches the full scan exactly. Rows may include the track aircraft
+// itself; callers already skip it.
 package broadphase
 
 import (
@@ -45,6 +46,7 @@ import (
 	"math"
 
 	"repro/internal/airspace"
+	"repro/internal/parexec"
 )
 
 // PruneHorizon is the look-ahead, in periods, that bounds which pairs
@@ -59,59 +61,62 @@ const PruneHorizon = airspace.CriticalTime
 // candidates.
 const slack = 1e-9
 
-// PairSource yields, for one track aircraft, the indices of the
-// aircraft it could possibly be in critical conflict with.
+// Index yields, once per Task 2+3 invocation, the candidate set of
+// every track: the aircraft it could possibly be in critical conflict
+// with.
 //
 // Contract:
-//   - Prepare must be called once per Detect/DetectResolve invocation,
-//     before the first Candidates call, with the world in its
-//     post-Task-1 (committed, wrapped) state. Prepare is not safe for
-//     concurrent use.
-//   - Candidates must return a superset of every aircraft whose
-//     conflict with track can start before PruneHorizon under any
+//   - Build is called once per invocation with the column snapshot of
+//     the world in its post-Task-1 (committed, wrapped) state. Row i of
+//     the returned table must be a superset of every aircraft whose
+//     conflict with track i can start before PruneHorizon under any
 //     heading of the track's current speed, in ascending index order.
-//     The track itself may be included; callers skip it. After Prepare
-//     returns, Candidates is safe for concurrent use from multiple
-//     goroutines (the platform executors scan in parallel).
-//   - Returned slices must be treated as read-only and are only valid
-//     until the next Prepare.
-//   - AppendCandidates appends the same candidate set to dst and
-//     returns the extended slice. It never retains dst and writes only
-//     through it, so a caller that keeps one buffer per worker
-//     goroutine performs zero allocations per query in steady state.
-//     Like Candidates, it is safe for concurrent use after Prepare.
-type PairSource interface {
-	// Name returns the registry name of the source.
+//     A nil table means every aircraft is a candidate of every track
+//     (the all-pairs oracle). The table is read-only and valid until
+//     the next Build; rotation probes and dirty-replay rescans all
+//     serve from it, since rotations preserve speed.
+//   - p runs Build's parallel phases (nil keeps them serial). The
+//     table is byte-identical at every worker count.
+//   - Build and TakeStats are sequential: one caller at a time.
+type Index interface {
+	// Name returns the registry name of the index.
 	Name() string
-	// Prepare builds the index for the world's current snapshot.
-	Prepare(w *airspace.World)
-	// Candidates returns the candidate trial indices for track.
-	Candidates(w *airspace.World, track *airspace.Aircraft) []int32
-	// AppendCandidates appends the candidate trial indices for track to
-	// dst and returns the extended slice.
-	AppendCandidates(dst []int32, w *airspace.World, track *airspace.Aircraft) []int32
+	// Build indexes the snapshot and returns its candidate table.
+	Build(c *airspace.Columns, p *parexec.Pool) *PairTable
+	// TakeStats drains the counters accumulated since the last call.
+	TakeStats() Stats
 }
 
-// Reach returns the per-axis half-width of the aircraft's critical-
-// window envelope: the farthest it can travel along one axis within
-// PruneHorizon at its current speed under any heading, plus half the
-// pairwise separation bound (each member of a pair contributes half of
-// airspace.SepTotal).
-//
-//atm:inline
-func Reach(a *airspace.Aircraft) float64 {
-	return ReachAt(a.DX, a.DY)
+// Stats counts an index's work since the last drain. Every counter is
+// a pure function of the built snapshots, so the drained values are
+// identical at every worker count.
+type Stats struct {
+	// Queries is the number of tracks indexed (N per Build) and
+	// Candidates the number of table entries they received (N² for the
+	// implicit all-pairs table).
+	Queries, Candidates int64
+	// Updates counts builds that repaired the previous sorted order in
+	// place; Rebuilds counts builds that ran a full sort (the first
+	// build, a world-size change, or a budget-exceeded fallback). Moved
+	// is the total insertion shifts spent by repairs; Resorted is the
+	// number of elements found out of place. Sweep only.
+	Updates, Rebuilds, Moved, Resorted int64
+	// Segments counts table-build segments walked.
+	Segments int64
 }
 
-// ReachAt is Reach on a scalar velocity, for callers holding the world
-// in column (SoA) form. Same expression, bit-identical result.
+// ReachAt returns the per-axis half-width of an aircraft's
+// critical-window envelope from its velocity: the farthest it can
+// travel along one axis within PruneHorizon at its current speed under
+// any heading, plus half the pairwise separation bound (each member of
+// a pair contributes half of airspace.SepTotal).
 //
 //atm:inline
 func ReachAt(dx, dy float64) float64 {
 	return math.Hypot(dx, dy)*PruneHorizon + airspace.SepTotal/2 + slack
 }
 
-// Registry names of the three sources.
+// Registry names of the three indexes.
 const (
 	BruteName = "brute"
 	GridName  = "grid"
@@ -122,8 +127,8 @@ const (
 // first).
 func Names() []string { return []string{BruteName, GridName, SweepName} }
 
-// New constructs the named pair source with default parameters.
-func New(name string) (PairSource, error) {
+// New constructs the named index with default parameters.
+func New(name string) (Index, error) {
 	switch name {
 	case BruteName:
 		return NewBrute(), nil
@@ -136,48 +141,39 @@ func New(name string) (PairSource, error) {
 }
 
 // MustNew is New that panics on error, for tables of known-good names.
-func MustNew(name string) PairSource {
-	s, err := New(name)
+func MustNew(name string) Index {
+	idx, err := New(name)
 	if err != nil {
 		panic(err)
 	}
-	return s
+	return idx
 }
 
 // Brute is the all-pairs oracle: every aircraft is a candidate for
-// every track. It reproduces the unpruned scan exactly and costs
-// nothing to prepare; the other sources are tested against it.
+// every track. Build returns the nil table, so consumers run their
+// unpruned scan — exactly the paper's kernel — while still charging an
+// installed index; no O(N²) table is ever materialized.
 type Brute struct {
-	all []int32
+	stats Stats
 }
 
-// NewBrute returns the all-pairs source.
+// NewBrute returns the all-pairs index.
 func NewBrute() *Brute { return &Brute{} }
 
 // Name returns "brute".
 func (b *Brute) Name() string { return BruteName }
 
-// Prepare sizes the shared candidate list to the world.
-func (b *Brute) Prepare(w *airspace.World) {
-	n := w.N()
-	if len(b.all) == n {
-		return
-	}
-	b.all = make([]int32, n)
-	for i := range b.all {
-		b.all[i] = int32(i)
-	}
+// Build returns nil: every aircraft is a candidate of every track.
+func (b *Brute) Build(c *airspace.Columns, _ *parexec.Pool) *PairTable {
+	n := int64(c.N())
+	b.stats.Queries += n
+	b.stats.Candidates += n * n
+	return nil
 }
 
-// Candidates returns every aircraft index (including the track; the
-// scan skips it). The returned slice is shared across calls.
-func (b *Brute) Candidates(w *airspace.World, track *airspace.Aircraft) []int32 {
-	return b.all
-}
-
-// AppendCandidates appends every aircraft index to dst.
-//
-//atm:noalloc
-func (b *Brute) AppendCandidates(dst []int32, w *airspace.World, track *airspace.Aircraft) []int32 {
-	return append(dst, b.all...)
+// TakeStats drains the query counters.
+func (b *Brute) TakeStats() Stats {
+	st := b.stats
+	b.stats = Stats{}
+	return st
 }

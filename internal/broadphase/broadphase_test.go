@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/airspace"
 	"repro/internal/broadphase"
+	"repro/internal/parexec"
 	"repro/internal/rng"
 	"repro/internal/tasks"
 )
@@ -28,10 +29,10 @@ func randomWorld(r *rng.Rand, n int, spread float64) *airspace.World {
 	return w
 }
 
-// sources returns fresh instances of every registered pair source.
-func sources(t *testing.T) []broadphase.PairSource {
+// sources returns fresh instances of every registered index.
+func sources(t *testing.T) []broadphase.Index {
 	t.Helper()
-	var out []broadphase.PairSource
+	var out []broadphase.Index
 	for _, name := range broadphase.Names() {
 		src, err := broadphase.New(name)
 		if err != nil {
@@ -40,6 +41,36 @@ func sources(t *testing.T) []broadphase.PairSource {
 		out = append(out, src)
 	}
 	return out
+}
+
+// build snapshots w into columns and builds idx's table on p.
+func build(idx broadphase.Index, w *airspace.World, p *parexec.Pool) *broadphase.PairTable {
+	var c airspace.Columns
+	c.FillFrom(w)
+	return idx.Build(&c, p)
+}
+
+// row returns track i's candidates, reading the nil (all-pairs) table
+// as every aircraft.
+func row(tab *broadphase.PairTable, n, i int) []int32 {
+	if tab != nil {
+		return tab.Candidates(i)
+	}
+	all := make([]int32, n)
+	for k := range all {
+		all[k] = int32(k)
+	}
+	return all
+}
+
+// detect and detectResolve run one pass of a fresh detector over w;
+// a nil idx is the all-pairs scan.
+func detect(w *airspace.World, idx broadphase.Index) tasks.DetectStats {
+	return tasks.NewDetector(idx, nil).Detect(w)
+}
+
+func detectResolve(w *airspace.World, idx broadphase.Index) tasks.DetectStats {
+	return tasks.NewDetector(idx, nil).DetectResolve(w)
 }
 
 // checkStatsEqual compares every DetectStats field except PairChecks,
@@ -87,21 +118,21 @@ func TestSourcesAgree(t *testing.T) {
 			base := randomWorld(r.Split(), n, spread)
 			worlds++
 
-			// Reference: all-pairs scan, no source.
+			// Reference: the serial all-pairs specification.
 			refDet := base.Clone()
-			refDetSt := tasks.DetectWith(refDet, nil)
+			refDetSt := tasks.Detect(refDet)
 			refRes := base.Clone()
-			refResSt := tasks.DetectResolveWith(refRes, nil)
+			refResSt := tasks.DetectResolve(refRes)
 
 			for _, src := range sources(t) {
 				label := src.Name()
 				wd := base.Clone()
-				st := tasks.DetectWith(wd, src)
+				st := detect(wd, src)
 				checkStatsEqual(t, label+"/detect", refDetSt, st)
 				checkWorldsEqual(t, label+"/detect", refDet, wd)
 
 				wr := base.Clone()
-				st = tasks.DetectResolveWith(wr, src)
+				st = detectResolve(wr, src)
 				checkStatsEqual(t, label+"/resolve", refResSt, st)
 				checkWorldsEqual(t, label+"/resolve", refRes, wr)
 			}
@@ -145,26 +176,26 @@ func TestGridSeamWraparound(t *testing.T) {
 
 		grid := broadphase.NewGrid()
 		refDet := w.Clone()
-		refSt := tasks.DetectWith(refDet, broadphase.NewBrute())
+		refSt := detect(refDet, broadphase.NewBrute())
 		gw := w.Clone()
-		gst := tasks.DetectWith(gw, grid)
+		gst := detect(gw, grid)
 		checkStatsEqual(t, "seam/detect", refSt, gst)
 		checkWorldsEqual(t, "seam/detect", refDet, gw)
 
 		refRes := w.Clone()
-		refResSt := tasks.DetectResolveWith(refRes, nil)
+		refResSt := tasks.DetectResolve(refRes)
 		gr := w.Clone()
-		grSt := tasks.DetectResolveWith(gr, broadphase.NewGrid())
+		grSt := detectResolve(gr, broadphase.NewGrid())
 		checkStatsEqual(t, "seam/resolve", refResSt, grSt)
 		checkWorldsEqual(t, "seam/resolve", refRes, gr)
 
 		// Explicit superset check on the original snapshot: every pair
 		// whose conflict window opens before the prune horizon must be
 		// in the grid's candidate set.
-		grid.Prepare(w)
+		tab := build(grid, w, nil)
 		for i := range w.Aircraft {
 			a := &w.Aircraft[i]
-			cand := grid.Candidates(w, a)
+			cand := tab.Candidates(i)
 			for j := range w.Aircraft {
 				if i == j {
 					continue
@@ -187,17 +218,17 @@ func TestGridSeamWraparound(t *testing.T) {
 }
 
 // TestCandidatesSortedAndSuperset checks the two structural halves of
-// the PairSource contract on random dense worlds: ascending order and
-// the critical-pair superset property, for every source.
+// the Index contract on random dense worlds: ascending rows and the
+// critical-pair superset property, for every index.
 func TestCandidatesSortedAndSuperset(t *testing.T) {
 	r := rng.New(0xca9d)
 	for trial := 0; trial < 25; trial++ {
 		w := randomWorld(r.Split(), 50+r.IntN(150), 0.25)
 		for _, src := range sources(t) {
-			src.Prepare(w)
+			tab := build(src, w, nil)
 			for i := range w.Aircraft {
 				a := &w.Aircraft[i]
-				cand := src.Candidates(w, a)
+				cand := row(tab, w.N(), i)
 				for k := 1; k < len(cand); k++ {
 					if cand[k-1] >= cand[k] {
 						t.Fatalf("%s: candidates for %d not strictly ascending: %v", src.Name(), i, cand)
@@ -238,7 +269,7 @@ func TestReachBoundsTravel(t *testing.T) {
 	w := airspace.NewWorld(64, r)
 	for i := range w.Aircraft {
 		a := &w.Aircraft[i]
-		reach := broadphase.Reach(a)
+		reach := broadphase.ReachAt(a.DX, a.DY)
 		speed := math.Hypot(a.DX, a.DY)
 		travel := speed*broadphase.PruneHorizon + airspace.SepTotal/2
 		if reach < travel {
@@ -251,8 +282,8 @@ func TestEmptyAndTinyWorlds(t *testing.T) {
 	for _, n := range []int{0, 1, 2} {
 		w := airspace.NewWorld(n, rng.New(uint64(n)+1))
 		for _, src := range sources(t) {
-			st := tasks.DetectWith(w.Clone(), src)
-			ref := tasks.DetectWith(w.Clone(), nil)
+			st := detect(w.Clone(), src)
+			ref := tasks.Detect(w.Clone())
 			checkStatsEqual(t, src.Name(), ref, st)
 		}
 	}
@@ -262,10 +293,10 @@ func TestFixedCellGridAgrees(t *testing.T) {
 	r := rng.New(0xce11)
 	base := randomWorld(r, 120, 0.2)
 	ref := base.Clone()
-	refSt := tasks.DetectResolveWith(ref, nil)
+	refSt := tasks.DetectResolve(ref)
 	for _, cell := range []float64{4, 16, 100, 500} {
 		w := base.Clone()
-		st := tasks.DetectResolveWith(w, broadphase.NewGridCell(cell))
+		st := detectResolve(w, broadphase.NewGridCell(cell))
 		checkStatsEqual(t, "fixed-cell", refSt, st)
 		checkWorldsEqual(t, "fixed-cell", ref, w)
 	}
@@ -297,9 +328,9 @@ func TestRegistry(t *testing.T) {
 // evaluate strictly fewer pairs than brute force.
 func TestPruningPrunes(t *testing.T) {
 	w := airspace.NewWorld(2000, rng.New(42))
-	brute := tasks.DetectWith(w.Clone(), broadphase.NewBrute())
+	brute := detect(w.Clone(), broadphase.NewBrute())
 	for _, name := range []string{broadphase.GridName, broadphase.SweepName} {
-		st := tasks.DetectWith(w.Clone(), broadphase.MustNew(name))
+		st := detect(w.Clone(), broadphase.MustNew(name))
 		if st.PairChecks >= brute.PairChecks {
 			t.Errorf("%s: %d pair checks, brute %d — no pruning", name, st.PairChecks, brute.PairChecks)
 		}

@@ -7,13 +7,14 @@ import (
 )
 
 // TestNoByValueSyncFields is the regression test for the sync.Pool copy
-// hazard: Sweep and Grid used to embed their scratch pool by value, so
-// any copy of the struct silently duplicated pool state (and vet's
+// hazard: Sweep and Grid once embedded a scratch pool by value, so any
+// copy of the struct silently duplicated pool state (and vet's
 // copylocks only fires on an actual copy expression, which reuse
 // patterns like CloneInto-style helpers can introduce later without
-// touching this package). Sync primitives in long-lived index structs
-// must be held by pointer; the atmlint syncfield analyzer enforces the
-// same rule statically across the repo.
+// touching this package). The indexes now own their scratch outright;
+// any sync primitive added to a long-lived index struct must be held
+// by pointer, which the atmlint syncfield analyzer also enforces
+// statically across the repo.
 func TestNoByValueSyncFields(t *testing.T) {
 	syncTypes := map[reflect.Type]bool{
 		reflect.TypeOf(sync.Pool{}):      true,
@@ -41,26 +42,8 @@ func TestNoByValueSyncFields(t *testing.T) {
 			}
 		}
 	}
-	for _, src := range []PairSource{
-		NewBrute(), NewGrid(), NewGridCell(16), NewSweep(), NewIncrementalSweep(), NewCounted(NewSweep()),
-	} {
+	for _, src := range []Index{NewBrute(), NewGrid(), NewGridCell(16), NewSweep()} {
 		typ := reflect.TypeOf(src).Elem()
 		check(t, typ, typ.Name())
-	}
-}
-
-// TestScratchPoolSharedAcrossCopies pins the fix's behaviour: because
-// the pool is now held by pointer, a shallow copy of the index struct
-// shares scratch state with the original instead of forking it.
-func TestScratchPoolSharedAcrossCopies(t *testing.T) {
-	s := NewSweep()
-	dup := *s
-	if s.scratch != dup.scratch {
-		t.Fatal("copied Sweep does not share the scratch pool")
-	}
-	g := NewGrid()
-	gdup := *g
-	if g.scratch != gdup.scratch {
-		t.Fatal("copied Grid does not share the scratch pool")
 	}
 }

@@ -2,10 +2,9 @@ package broadphase
 
 import (
 	"math"
-	"math/bits"
-	"sync"
 
 	"repro/internal/airspace"
+	"repro/internal/parexec"
 )
 
 // Grid cell-size bounds for the automatic derivation: below MinCellNM
@@ -27,57 +26,65 @@ const (
 // candidates and never loses one.
 //
 // Each aircraft is inserted into every cell its reach envelope touches;
-// a query walks the cells touched by the track's own envelope. Two
-// overlapping envelopes share at least one cell, so the candidate set
-// covers every pair the exactness argument requires.
+// a track's row is the union of the occupants of the cells its own
+// envelope touches. Two overlapping envelopes share at least one cell,
+// so the row covers every pair the exactness argument requires. Build
+// walks the tracks in index order through the shared table builder.
 type Grid struct {
-	// cellNM, when positive, fixes the cell size; otherwise Prepare
+	// cellNM, when positive, fixes the cell size; otherwise Build
 	// derives it from the mean envelope width of the current world.
 	cellNM float64
 
 	cell  float64
 	nx    int
 	cells [][]int32
-	n     int
+	// reach holds every aircraft's envelope half-width for the row
+	// queries; cols is the snapshot being built.
+	reach []float64
+	cols  *airspace.Columns
 
-	// scratch pools *gridScratch for concurrent queries. Held by
-	// pointer so copying a Grid value cannot duplicate pool state (see
-	// the atmlint syncfield rule); the constructors initialize it.
-	scratch *sync.Pool
+	tb    tableBuilder
+	stats Stats
 }
 
-// gridScratch accumulates one query's candidate set as a bitmap: a set
-// bit per candidate index gives deduplication for free and a
-// trailing-zeros walk emits the indices already in ascending order, so
-// no per-query comparison sort is needed (one sort per track dominated
-// detection wall time at 10k+ aircraft).
-type gridScratch struct {
-	words []uint64
-}
+// NewGrid returns a grid index that derives its cell size from the
+// traffic on every Build.
+func NewGrid() *Grid { return &Grid{} }
 
-// NewGrid returns a grid source that derives its cell size from the
-// traffic on every Prepare.
-func NewGrid() *Grid { return &Grid{scratch: &sync.Pool{}} }
-
-// NewGridCell returns a grid source with a fixed cell size in nautical
+// NewGridCell returns a grid index with a fixed cell size in nautical
 // miles. It panics if cellNM is not positive.
 func NewGridCell(cellNM float64) *Grid {
 	if cellNM <= 0 {
 		panic("broadphase: grid cell size must be positive")
 	}
-	return &Grid{cellNM: cellNM, scratch: &sync.Pool{}}
+	return &Grid{cellNM: cellNM}
 }
 
 // Name returns "grid".
 func (g *Grid) Name() string { return GridName }
 
-// CellNM returns the cell size chosen by the last Prepare.
+// CellNM returns the cell size chosen by the last Build.
 func (g *Grid) CellNM() float64 { return g.cell }
 
-// Prepare bins every aircraft's reach envelope into the grid.
-func (g *Grid) Prepare(w *airspace.World) {
-	n := w.N()
-	g.n = n
+// TakeStats drains the counters accumulated since the last call.
+func (g *Grid) TakeStats() Stats {
+	st := g.stats
+	g.stats = Stats{}
+	return st
+}
+
+// Build bins every aircraft's reach envelope into the grid and builds
+// the candidate table on p.
+func (g *Grid) Build(c *airspace.Columns, p *parexec.Pool) *PairTable {
+	n := c.N()
+	g.cols = c
+	if cap(g.reach) < n {
+		g.reach = make([]float64, n)
+	}
+	g.reach = g.reach[:n]
+	for i := range g.reach {
+		g.reach[i] = ReachAt(c.DX[i], c.DY[i])
+	}
 
 	cell := g.cellNM
 	if cell <= 0 {
@@ -88,8 +95,8 @@ func (g *Grid) Prepare(w *airspace.World) {
 			cell = DefaultCellNM
 		} else {
 			sum := 0.0
-			for i := range w.Aircraft {
-				sum += 2 * Reach(&w.Aircraft[i])
+			for _, r := range g.reach {
+				sum += 2 * r
 			}
 			cell = math.Min(MaxCellNM, math.Max(MinCellNM, sum/float64(n)))
 		}
@@ -108,19 +115,23 @@ func (g *Grid) Prepare(w *airspace.World) {
 			g.cells[i] = g.cells[i][:0]
 		}
 	}
-	for i := range w.Aircraft {
-		a := &w.Aircraft[i]
-		r := Reach(a)
-		cx0, cxn := g.cellSpan(a.X-r, a.X+r)
-		cy0, cyn := g.cellSpan(a.Y-r, a.Y+r)
+	for i, r := range g.reach {
+		cx0, cxn := g.cellSpan(c.X[i]-r, c.X[i]+r)
+		cy0, cyn := g.cellSpan(c.Y[i]-r, c.Y[i]+r)
 		for yi := 0; yi < cyn; yi++ {
 			row := g.fold(cy0+yi) * g.nx
 			for xi := 0; xi < cxn; xi++ {
-				c := row + g.fold(cx0+xi)
-				g.cells[c] = append(g.cells[c], int32(i))
+				k := row + g.fold(cx0+xi)
+				g.cells[k] = append(g.cells[k], int32(i))
 			}
 		}
 	}
+
+	t, segs := g.tb.build(g, nil, n, p)
+	g.stats.Queries += int64(n)
+	g.stats.Candidates += int64(len(t.Cand))
+	g.stats.Segments += int64(segs)
+	return t
 }
 
 // cellSpan returns the first (unfolded) cell coordinate covering lo and
@@ -145,42 +156,14 @@ func (g *Grid) fold(c int) int {
 	return c
 }
 
-// Candidates walks the cells the track's envelope touches and returns
-// the deduplicated, ascending union of their occupants. Safe for
-// concurrent use after Prepare.
-func (g *Grid) Candidates(w *airspace.World, track *airspace.Aircraft) []int32 {
-	return g.AppendCandidates(nil, w, track)
-}
-
-// getScratch returns a pooled bitmap sized for nw words; growth is the
-// cold path kept outside AppendCandidates' noalloc contract.
-func (g *Grid) getScratch(nw int) *gridScratch {
-	sc, _ := g.scratch.Get().(*gridScratch)
-	if sc == nil {
-		sc = &gridScratch{}
-	}
-	if len(sc.words) < nw {
-		sc.words = make([]uint64, nw)
-	}
-	return sc
-}
-
-// AppendCandidates is Candidates emitting into the caller's buffer: the
-// bitmap walk appends straight to dst, so a reused buffer makes the
-// query allocation-free. Safe for concurrent use after Prepare.
+// markRow sets the bit of every occupant of the cells aircraft i's
+// envelope touches. Pure with respect to the built grid.
 //
 //atm:noalloc
-func (g *Grid) AppendCandidates(dst []int32, w *airspace.World, track *airspace.Aircraft) []int32 {
-	if g.n == 0 {
-		return dst
-	}
-	r := Reach(track)
-	cx0, cxn := g.cellSpan(track.X-r, track.X+r)
-	cy0, cyn := g.cellSpan(track.Y-r, track.Y+r)
-
-	nw := (g.n + 63) / 64
-	sc := g.getScratch(nw) //atm:allow noallocflow -- scratch acquisition allocates only on pool miss or fleet growth; steady state reuses pooled words
-	words := sc.words
+func (g *Grid) markRow(i int, words []uint64) {
+	c, r := g.cols, g.reach[i]
+	cx0, cxn := g.cellSpan(c.X[i]-r, c.X[i]+r)
+	cy0, cyn := g.cellSpan(c.Y[i]-r, c.Y[i]+r)
 	for yi := 0; yi < cyn; yi++ {
 		row := g.fold(cy0+yi) * g.nx
 		for xi := 0; xi < cxn; xi++ {
@@ -189,18 +172,4 @@ func (g *Grid) AppendCandidates(dst []int32, w *airspace.World, track *airspace.
 			}
 		}
 	}
-	for wi := 0; wi < nw; wi++ {
-		word := words[wi]
-		if word == 0 {
-			continue
-		}
-		words[wi] = 0
-		base := int32(wi) << 6
-		for word != 0 {
-			dst = append(dst, base+int32(bits.TrailingZeros64(word)))
-			word &= word - 1
-		}
-	}
-	g.scratch.Put(sc)
-	return dst
 }

@@ -41,59 +41,43 @@ func advancePeriod(r *rng.Rand, w *airspace.World, period int) {
 	}
 }
 
-// TestIncrementalSweepCandidatesIdentical is the bit-identity property
-// at the candidate level: through long randomized mutation sequences
-// (motion, rotations, wraparounds, stacked positions) the incremental
-// sweep must emit exactly the candidate slice the rebuild sweep emits —
-// same elements, same order — for every track, every period.
+// TestIncrementalSweepCandidatesIdentical is the coherence property at
+// the table level: through long randomized mutation sequences (motion,
+// rotations, wraparounds, stacked positions) the sweep that repairs its
+// persistent order must build exactly the table a freshly sorted sweep
+// builds — same rows, same order — every period.
 func TestIncrementalSweepCandidatesIdentical(t *testing.T) {
 	r := rng.New(0x1c0e)
 	for _, n := range []int{0, 1, 2, 17, 120, 300} {
 		w := randomWorld(r.Split(), n, 0.3)
-		plain := broadphase.NewSweep()
-		inc := broadphase.NewIncrementalSweep()
-		var bufP, bufI []int32
+		persistent := broadphase.NewSweep()
 		for period := 0; period < 48; period++ {
 			advancePeriod(r, w, period)
-			plain.Prepare(w)
-			inc.Prepare(w)
-			for i := range w.Aircraft {
-				track := &w.Aircraft[i]
-				bufP = plain.AppendCandidates(bufP[:0], w, track)
-				bufI = inc.AppendCandidates(bufI[:0], w, track)
-				if len(bufP) != len(bufI) {
-					t.Fatalf("n=%d period=%d track=%d: candidate counts diverge: plain %d, incremental %d",
-						n, period, i, len(bufP), len(bufI))
-				}
-				for k := range bufP {
-					if bufP[k] != bufI[k] {
-						t.Fatalf("n=%d period=%d track=%d: emission diverges at %d: plain %v, incremental %v",
-							n, period, i, k, bufP, bufI)
-					}
-				}
+			got := build(persistent, w, nil)
+			want := build(broadphase.NewSweep(), w, nil)
+			if msg := diffTables(want, got); msg != "" {
+				t.Fatalf("n=%d period=%d: repaired table diverges from a fresh sort: %s", n, period, msg)
 			}
 		}
 		if n > 1 {
-			st := inc.TakeUpdateStats()
+			st := persistent.TakeStats()
 			if st.Updates == 0 {
-				t.Errorf("n=%d: incremental sweep never repaired in place (stats %+v)", n, st)
+				t.Errorf("n=%d: sweep never repaired in place (stats %+v)", n, st)
 			}
 		}
 	}
 }
 
 // TestIncrementalSweepDetectionAgrees drives full detection/resolution
-// through a mutation sequence under brute, grid, rebuild sweep, and
-// incremental sweep at workers {1, 3, 8}: every period, every source,
-// every worker count must produce the bit-identical world the all-pairs
-// serial reference produces.
+// through a mutation sequence under brute, grid and sweep detectors
+// that persist across periods, at workers {1, 3, 8}: every period,
+// every index, every worker count must produce the bit-identical world
+// the serial all-pairs specification produces.
 func TestIncrementalSweepDetectionAgrees(t *testing.T) {
-	pools := map[int]*parexec.Pool{1: parexec.NewPool(1), 3: parexec.NewPool(3), 8: parexec.NewPool(8)}
 	type lane struct {
-		label   string
-		src     broadphase.PairSource
-		workers int
-		w       *airspace.World
+		label string
+		det   *tasks.Detector
+		w     *airspace.World
 	}
 	r := rng.New(0xdead)
 	base := randomWorld(r.Split(), 180, 0.25)
@@ -101,12 +85,10 @@ func TestIncrementalSweepDetectionAgrees(t *testing.T) {
 	ref := base.Clone()
 	var lanes []*lane
 	for _, workers := range []int{1, 3, 8} {
-		lanes = append(lanes,
-			&lane{"brute", broadphase.NewBrute(), workers, base.Clone()},
-			&lane{"grid", broadphase.NewGrid(), workers, base.Clone()},
-			&lane{"sweep", broadphase.NewSweep(), workers, base.Clone()},
-			&lane{"incremental-sweep", broadphase.NewIncrementalSweep(), workers, base.Clone()},
-		)
+		pool := parexec.NewPool(workers)
+		for _, name := range broadphase.Names() {
+			lanes = append(lanes, &lane{name, tasks.NewDetector(broadphase.MustNew(name), pool), base.Clone()})
+		}
 	}
 
 	for period := 0; period < 24; period++ {
@@ -114,13 +96,12 @@ func TestIncrementalSweepDetectionAgrees(t *testing.T) {
 		// the generator from the same seed keeps the lanes in lockstep
 		// without sharing mutable state.
 		advancePeriod(rngReplay(0xfeed, period), ref, period)
-		refSt := tasks.DetectResolveExec(ref, nil, pools[1])
+		refSt := tasks.DetectResolve(ref)
 		for _, l := range lanes {
 			advancePeriod(rngReplay(0xfeed, period), l.w, period)
-			st := tasks.DetectResolveExec(l.w, l.src, pools[l.workers])
-			label := l.label
-			checkStatsEqual(t, label, refSt, st)
-			checkWorldsEqual(t, label, ref, l.w)
+			st := l.det.DetectResolve(l.w)
+			checkStatsEqual(t, l.label, refSt, st)
+			checkWorldsEqual(t, l.label, ref, l.w)
 		}
 	}
 }
@@ -140,15 +121,14 @@ func rngReplay(seed uint64, period int) *rng.Rand {
 
 // TestIncrementalSweepFallbackRebuild forces the repair budget to blow:
 // scrambling every position each period makes the previous order
-// worthless, the insertion pass aborts, and Prepare must fall back to
-// the full sort — still producing candidates identical to the rebuild
-// sweep, and counting the fallback.
+// worthless, the insertion pass aborts, and Build must fall back to
+// the full sort — still producing the table a fresh sweep builds, and
+// counting the fallback.
 func TestIncrementalSweepFallbackRebuild(t *testing.T) {
 	r := rng.New(0xfa11)
 	w := randomWorld(r.Split(), 250, 0.3)
-	plain := broadphase.NewSweep()
-	inc := broadphase.NewIncrementalSweep()
-	var bufP, bufI []int32
+	persistent := broadphase.NewSweep()
+	var total broadphase.Stats
 	for period := 0; period < 6; period++ {
 		// Teleport everyone: fresh random positions, no coherence.
 		for i := range w.Aircraft {
@@ -156,46 +136,38 @@ func TestIncrementalSweepFallbackRebuild(t *testing.T) {
 			a.X = r.Range(-airspace.SetupHalf, airspace.SetupHalf) * 0.3
 			a.Y = r.Range(-airspace.SetupHalf, airspace.SetupHalf) * 0.3
 		}
-		plain.Prepare(w)
-		inc.Prepare(w)
-		if period > 0 && inc.LastPrepareIncremental() {
-			t.Errorf("period %d: scrambled world repaired within budget; expected fallback", period)
+		got := build(persistent, w, nil)
+		st := persistent.TakeStats()
+		if period > 0 && (st.Rebuilds != 1 || st.Updates != 0) {
+			t.Errorf("period %d: scrambled world repaired within budget; expected fallback, stats %+v", period, st)
 		}
-		for i := range w.Aircraft {
-			track := &w.Aircraft[i]
-			bufP = plain.AppendCandidates(bufP[:0], w, track)
-			bufI = inc.AppendCandidates(bufI[:0], w, track)
-			if len(bufP) != len(bufI) {
-				t.Fatalf("period %d track %d: counts diverge after fallback", period, i)
-			}
-			for k := range bufP {
-				if bufP[k] != bufI[k] {
-					t.Fatalf("period %d track %d: emission diverges after fallback", period, i)
-				}
-			}
+		total.Rebuilds += st.Rebuilds
+		if msg := diffTables(build(broadphase.NewSweep(), w, nil), got); msg != "" {
+			t.Fatalf("period %d: table diverges after fallback: %s", period, msg)
 		}
 	}
-	st := inc.TakeUpdateStats()
-	if st.Rebuilds < 5 {
-		t.Errorf("expected >=5 fallback rebuilds on scrambled worlds, got stats %+v", st)
+	if total.Rebuilds < 5 {
+		t.Errorf("expected >=5 fallback rebuilds on scrambled worlds, got %d", total.Rebuilds)
 	}
-	if got := inc.TakeUpdateStats(); got != (broadphase.UpdateStats{}) {
-		t.Errorf("TakeUpdateStats did not drain: %+v", got)
+	if got := persistent.TakeStats(); got != (broadphase.Stats{}) {
+		t.Errorf("TakeStats did not drain: %+v", got)
 	}
 }
 
 // TestIncrementalSweepStats pins the steady-state telemetry shape: under
-// gentle per-period motion the incremental sweep repairs in place every
-// period after the first, and the shift work stays far below the
-// fallback budget.
+// gentle per-period motion the sweep repairs in place every build after
+// the first, and the shift work stays far below the fallback budget.
 func TestIncrementalSweepStats(t *testing.T) {
 	r := rng.New(0x57a7)
 	w := randomWorld(r.Split(), 400, 0.5)
-	inc := broadphase.NewIncrementalSweep()
-	inc.Prepare(w)
-	first := inc.TakeUpdateStats()
+	sweep := broadphase.NewSweep()
+	tab := build(sweep, w, nil)
+	first := sweep.TakeStats()
 	if first.Rebuilds != 1 || first.Updates != 0 {
-		t.Fatalf("initial Prepare: want exactly one rebuild, got %+v", first)
+		t.Fatalf("initial Build: want exactly one rebuild, got %+v", first)
+	}
+	if first.Queries != 400 || first.Candidates != int64(len(tab.Cand)) || first.Segments != 2 {
+		t.Fatalf("initial Build: want 400 queries, %d candidates and 2 segments, got %+v", len(tab.Cand), first)
 	}
 	const periods = 32
 	for period := 0; period < periods; period++ {
@@ -207,68 +179,13 @@ func TestIncrementalSweepStats(t *testing.T) {
 				airspace.Wrap(a)
 			}
 		}
-		inc.Prepare(w)
-		if !inc.LastPrepareIncremental() {
-			t.Fatalf("period %d: gentle motion fell back to full sort", period)
-		}
+		build(sweep, w, nil)
 	}
-	st := inc.TakeUpdateStats()
+	st := sweep.TakeStats()
 	if st.Updates != periods || st.Rebuilds != 0 {
 		t.Fatalf("steady state: want %d updates and no rebuilds, got %+v", periods, st)
 	}
 	if st.Resorted > st.Moved {
 		t.Errorf("stats inconsistent: resorted %d > moved %d", st.Resorted, st.Moved)
-	}
-}
-
-// TestMaintainerOf pins the unwrap walk: the Maintainer must be found
-// through the Counted decorator core installs under telemetry, and must
-// be absent for sources without an incremental mode.
-func TestMaintainerOf(t *testing.T) {
-	inc := broadphase.NewIncrementalSweep()
-	if m := broadphase.MaintainerOf(inc); m == nil || !m.Incremental() {
-		t.Fatal("MaintainerOf missed the incremental sweep itself")
-	}
-	wrapped := broadphase.NewCounted(inc)
-	if m := broadphase.MaintainerOf(wrapped); m == nil || !m.Incremental() {
-		t.Fatal("MaintainerOf failed to unwrap Counted")
-	}
-	if m := broadphase.MaintainerOf(broadphase.NewSweep()); m == nil || m.Incremental() {
-		t.Fatal("rebuild sweep must report Incremental()==false")
-	}
-	if m := broadphase.MaintainerOf(broadphase.NewCounted(broadphase.NewGrid())); m != nil {
-		t.Fatal("grid has no incremental mode; MaintainerOf must return nil")
-	}
-	if m := broadphase.MaintainerOf(nil); m != nil {
-		t.Fatal("MaintainerOf(nil) must be nil")
-	}
-}
-
-// TestNewWithIncremental pins the options constructor: the sweep gains
-// incremental maintenance, other sources accept and ignore the flag.
-func TestNewWithIncremental(t *testing.T) {
-	for _, name := range broadphase.Names() {
-		src, err := broadphase.NewWith(name, broadphase.Options{Incremental: true})
-		if err != nil {
-			t.Fatalf("NewWith(%q): %v", name, err)
-		}
-		m := broadphase.MaintainerOf(src)
-		if name == broadphase.SweepName {
-			if m == nil || !m.Incremental() {
-				t.Fatalf("NewWith(%q, Incremental) did not enable incremental mode", name)
-			}
-		} else if m != nil && m.Incremental() {
-			t.Fatalf("NewWith(%q, Incremental) unexpectedly claims incremental maintenance", name)
-		}
-		plain, err := broadphase.NewWith(name, broadphase.Options{})
-		if err != nil || plain == nil {
-			t.Fatalf("NewWith(%q, {}): %v", name, err)
-		}
-		if m := broadphase.MaintainerOf(plain); m != nil && m.Incremental() {
-			t.Fatalf("NewWith(%q, {}) enabled incremental mode", name)
-		}
-	}
-	if _, err := broadphase.NewWith("nope", broadphase.Options{Incremental: true}); err == nil {
-		t.Fatal("NewWith with unknown name must error")
 	}
 }

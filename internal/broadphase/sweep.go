@@ -1,109 +1,71 @@
 package broadphase
 
 import (
+	"math"
 	"math/bits"
 	"sort"
-	"sync"
 
 	"repro/internal/airspace"
 	"repro/internal/parexec"
 )
 
+// repairChunk is the block size of the parallel insertion repair: the
+// key minima/maxima of the blocks are computed in parallel, and a
+// serial prefix/suffix pass marks the block boundaries no element can
+// cross.
+const repairChunk = 512
+
 // Sweep is sort-based sweep-and-prune on the per-axis reach intervals
 // (Marzolla & D'Angelo's sort-based matching, specialized to per-track
-// queries). Prepare sorts the aircraft by the low edge of their x-axis
-// envelope; a query binary-searches the run of aircraft whose x
-// interval can overlap the track's and filters that run by the actual
-// x and y interval tests. The window [lo − maxWidth, hi] is sound
-// because no stored interval is wider than maxWidth: anything starting
+// queries). Build orders the aircraft by the low edge of their x-axis
+// envelope; a track's row is the run of aircraft whose x interval can
+// overlap the track's, found by binary search and filtered by the
+// actual x and y interval tests. The window [lo − maxW, hi] is sound
+// because no stored interval is wider than maxW: anything starting
 // earlier has necessarily ended before the query interval begins.
 //
-// In incremental mode (NewWith with Options.Incremental) the sorted
-// order persists across Prepare calls and is repaired with an
-// insertion-sort pass instead of re-sorted from scratch. Aircraft move
-// a tiny fraction of the airspace between consecutive detection
-// invocations (0.5 s tracking period, ~600 kt speeds), so the previous
-// order is nearly sorted and the repair is O(N) plus the few shifts
-// the motion actually caused; a shift budget bounds the pathological
-// case (mass teleports) by falling back to the full sort. Candidate
-// sets are bit-identical in both modes: the per-query bitmap emits
-// ascending aircraft indices regardless of how the sorted order
-// permutes aircraft with equal low-x keys, and window membership
-// depends only on the envelope values, which are computed identically.
+// The sorted order persists across builds and is repaired in place
+// (temporal coherence). Aircraft move a tiny fraction of the airspace
+// between consecutive detection invocations, so the previous order is
+// nearly sorted: the repair splits it into independent runs at block
+// boundaries no element needs to cross and insertion-sorts the runs in
+// parallel, O(N) plus the shifts the motion actually caused. A shift
+// budget bounds the pathological case (mass teleports) by falling back
+// to the full sort. Rows do not depend on how the order permutes
+// aircraft with equal low-x keys: the per-track bitmap emits ascending
+// aircraft indices, and window membership depends only on the envelope
+// values.
 type Sweep struct {
-	n int
+	n        int
+	prepared bool
 	// order holds aircraft indices sorted by ascending envelope low-x;
 	// sortedLo mirrors the low-x values in the same order for binary
-	// search.
-	order    []int32
-	sortedLo []float64
+	// search, and sortedBox interleaves the remaining edges permuted
+	// into sorted order — hi-x, lo-y, hi-y at stride 3 — so the window
+	// walk reads one dense sequential stream.
+	order     []int32
+	sortedLo  []float64
+	sortedBox []float64
 	// Envelope edges indexed by aircraft index.
 	lox, hix, loy, hiy []float64
-	// maxW is the widest x envelope in the world. The envelope fill
-	// loop recomputes it as a running max every Prepare: the fill is
-	// already O(N) (every position changes every period), so the exact
-	// recompute costs nothing extra and can never go stale the way a
-	// shrink-tracking scheme could.
+	// maxW is the widest x envelope in the world, recomputed as a
+	// running max by every Build's (already O(N)) envelope fill, so it
+	// can never go stale.
 	maxW float64
 
-	// incremental enables the persistent-order repair path and the
-	// sorted mirror arrays; prepared records that order holds a valid
-	// permutation from a previous Prepare of the same world size.
-	incremental bool
-	prepared    bool
-	// sortedBox, maintained only in incremental mode, interleaves the
-	// remaining envelope edges permuted into sorted order — hi-x, lo-y,
-	// hi-y at stride 3 — so the window walk reads one dense sequential
-	// stream instead of gathering through order (a dependent indexed
-	// load per visited element) or striding three parallel arrays.
-	sortedBox []float64
-
-	// lastIncremental records whether the most recent Prepare repaired
-	// the order in place (true) or fell back to / started from a full
-	// sort (false).
-	lastIncremental bool
-	// Update counters, drained by TakeUpdateStats. Prepare is
-	// sequential by contract, so plain fields suffice.
-	statUpdates, statRebuilds, statMoved, statResorted int64
-
-	// sharded enables the worker-parallel table mode (see table.go):
-	// PrepareTable walks the sorted order in parallel segments on pool,
-	// and the incremental repair splits into independent runs. pool may
-	// be nil (serial); consumers install it through SetPool.
-	sharded bool
-	pool    *parexec.Pool
-	// table is the source-owned candidate table PrepareTable fills;
-	// chunkBufs / cnt are its build scratch.
-	table     PairTable
-	chunkBufs []tableBuf
-	cnt       []int32
-	// Parallel-repair scratch: per-block key extrema, run boundaries
-	// and per-run outcomes.
+	// sorter is the reusable sort.Interface over order/lox: sort.Slice
+	// allocates its closure pair on every call.
+	sorter sweepOrder
+	// Repair scratch: per-block key extrema, run boundaries, per-run
+	// outcomes, and the persistent job bodies a pool dispatches.
 	chunkMin, chunkMax []float64
 	runs               []int32
 	runStats           []runStat
-	// Shard counters, drained by TakeShardStats. statSegments counts
-	// table-build segments; statBatches accumulates consumer-reported
-	// batched-kernel iterations. Sequential, like the update counters.
-	statSegments, statBatches int64
-	// Persistent job bodies for the engine's RunBody dispatch, held as
-	// fields so steady-state parallel phases allocate nothing.
-	fill   fillJob
-	copier copyJob
-	minmax minmaxJob
-	repair repairJob
+	minmax             minmaxJob
+	repair             repairJob
 
-	// sorter is the reusable sort.Interface over order/lox: sort.Slice
-	// allocates its closure pair on every call, which made Prepare the
-	// only allocation left in a steady-state detection period.
-	sorter sweepOrder
-
-	// scratch pools *sweepScratch for concurrent queries. Held by
-	// pointer: sync.Pool contains a noCopy lock and per-P caches, so a
-	// by-value field would make any copy of the Sweep struct (even an
-	// accidental one) silently duplicate pool state. The constructor
-	// initializes it; see the atmlint syncfield rule.
-	scratch *sync.Pool
+	tb    tableBuilder
+	stats Stats
 }
 
 // sweepOrder sorts aircraft indices by ascending envelope low-x.
@@ -116,91 +78,57 @@ func (o *sweepOrder) Len() int           { return len(o.order) }
 func (o *sweepOrder) Less(a, b int) bool { return o.lox[o.order[a]] < o.lox[o.order[b]] }
 func (o *sweepOrder) Swap(a, b int)      { o.order[a], o.order[b] = o.order[b], o.order[a] }
 
-// sweepScratch accumulates one query's candidates as a bitmap, exactly
-// as gridScratch does: the sweep window yields hits in low-x order, and
-// the trailing-zeros walk re-emits them in the ascending index order
-// the scan's tie-break requires without a per-query comparison sort.
-type sweepScratch struct {
-	words []uint64
+// runStat is one repair run's outcome: the shifts it spent, the
+// elements it found out of place, and whether it stayed within budget.
+type runStat struct {
+	shifts   int64
+	resorted int64
+	ok       bool
 }
 
-// NewSweep returns a sweep-and-prune source that rebuilds its index on
-// every Prepare.
-func NewSweep() *Sweep { return &Sweep{scratch: &sync.Pool{}} }
-
-// NewIncrementalSweep returns a sweep-and-prune source that keeps its
-// sorted order across Prepare calls and repairs it in place, exploiting
-// temporal coherence. Candidate sets are bit-identical to NewSweep's.
-func NewIncrementalSweep() *Sweep {
-	s := NewSweep()
-	s.incremental = true
-	return s
-}
-
-// NewShardedSweep returns a sweep source with the worker-parallel table
-// mode enabled (see table.go); incremental additionally selects the
-// temporal-coherence repair. Candidate sets are bit-identical to
-// NewSweep's in every combination.
-func NewShardedSweep(incremental bool) *Sweep {
-	s := NewSweep()
-	s.incremental = incremental
-	s.sharded = true
-	return s
-}
+// NewSweep returns a sweep-and-prune index.
+func NewSweep() *Sweep { return &Sweep{} }
 
 // Name returns "sweep".
 func (s *Sweep) Name() string { return SweepName }
 
-// Incremental reports whether the persistent-order repair path is
-// enabled.
-func (s *Sweep) Incremental() bool { return s.incremental }
-
-// LastPrepareIncremental reports whether the most recent Prepare
-// repaired the previous order in place rather than running a full sort.
-func (s *Sweep) LastPrepareIncremental() bool { return s.lastIncremental }
-
-// TakeUpdateStats returns the update counters accumulated since the
-// last call and resets them. Like Prepare, it is not safe for
-// concurrent use.
-func (s *Sweep) TakeUpdateStats() UpdateStats {
-	st := UpdateStats{
-		Updates:  s.statUpdates,
-		Rebuilds: s.statRebuilds,
-		Moved:    s.statMoved,
-		Resorted: s.statResorted,
-	}
-	s.statUpdates, s.statRebuilds, s.statMoved, s.statResorted = 0, 0, 0, 0
+// TakeStats drains the counters accumulated since the last call.
+func (s *Sweep) TakeStats() Stats {
+	st := s.stats
+	s.stats = Stats{}
 	return st
 }
 
-// Prepare computes every aircraft's reach envelope and establishes the
-// sorted x order — by full sort normally, by insertion repair of the
-// previous order in incremental mode.
-func (s *Sweep) Prepare(w *airspace.World) {
-	n := w.N()
-	reuse := s.growFor(n)
-	s.maxW = 0
-	for i := range w.Aircraft {
-		a := &w.Aircraft[i]
-		r := Reach(a)
-		s.lox[i], s.hix[i] = a.X-r, a.X+r
-		s.loy[i], s.hiy[i] = a.Y-r, a.Y+r
-		if 2*r > s.maxW {
-			s.maxW = 2 * r
-		}
-	}
-	s.finishPrepare(reuse)
-}
-
-// PrepareColumns is Prepare reading positions and velocities from a
-// column snapshot of the same world state instead of the aircraft
-// records. The envelope expressions evaluate on the same float64
-// values, so the index — and every candidate set — is bit-identical to
-// Prepare's; what changes is that the build walks five dense arrays
-// the caller has already made cache-hot for the scan that follows.
-func (s *Sweep) PrepareColumns(c *airspace.Columns) {
+// Build computes every aircraft's reach envelope, establishes the
+// sorted x order — by run-split repair of the previous order when the
+// world size is unchanged, by full sort otherwise — and builds the
+// candidate table on p.
+func (s *Sweep) Build(c *airspace.Columns, p *parexec.Pool) *PairTable {
 	n := c.N()
-	reuse := s.growFor(n)
+	reuse := s.prepared && s.n == n && n > 1
+	s.n = n
+	if cap(s.order) < n {
+		s.order = make([]int32, n)
+		s.sortedLo = make([]float64, n)
+		s.sortedBox = make([]float64, 3*n)
+		s.lox = make([]float64, n)
+		s.hix = make([]float64, n)
+		s.loy = make([]float64, n)
+		s.hiy = make([]float64, n)
+		// The repair scratch is sized with the arrays, so the first
+		// repair after a fresh sort allocates nothing either.
+		blocks := (n + repairChunk - 1) / repairChunk
+		s.chunkMin = make([]float64, blocks)
+		s.chunkMax = make([]float64, blocks)
+		s.runs = make([]int32, 0, blocks)
+		s.runStats = make([]runStat, blocks)
+	}
+	s.order = s.order[:n]
+	s.sortedLo = s.sortedLo[:n]
+	s.sortedBox = s.sortedBox[:3*n]
+	s.lox, s.hix = s.lox[:n], s.hix[:n]
+	s.loy, s.hiy = s.loy[:n], s.hiy[:n]
+
 	s.maxW = 0
 	for i := 0; i < n; i++ {
 		r := ReachAt(c.DX[i], c.DY[i])
@@ -210,89 +138,78 @@ func (s *Sweep) PrepareColumns(c *airspace.Columns) {
 			s.maxW = 2 * r
 		}
 	}
-	s.finishPrepare(reuse)
-}
 
-// growFor sizes the per-aircraft arrays for n and reports whether the
-// previous sorted order may be repaired in place rather than rebuilt.
-func (s *Sweep) growFor(n int) (reuse bool) {
-	reuse = s.incremental && s.prepared && s.n == n && n > 1
-	s.n = n
-	if cap(s.order) < n {
-		s.order = make([]int32, n)
-		s.sortedLo = make([]float64, n)
-		s.lox = make([]float64, n)
-		s.hix = make([]float64, n)
-		s.loy = make([]float64, n)
-		s.hiy = make([]float64, n)
-	}
-	s.order = s.order[:n]
-	s.sortedLo = s.sortedLo[:n]
-	s.lox, s.hix = s.lox[:n], s.hix[:n]
-	s.loy, s.hiy = s.loy[:n], s.hiy[:n]
-	return reuse
-}
-
-// finishPrepare establishes the sorted order over the freshly written
-// envelopes — repairing the previous order when reuse allows, sorting
-// otherwise — and rebuilds the sorted-axis views.
-func (s *Sweep) finishPrepare(reuse bool) {
-	n := s.n
-	repaired := false
-	if reuse {
-		if s.sharded {
-			// The run-partitioned repair is used at every worker count
-			// (including pool == nil) so its statistics — per-run budget
-			// accounting differs from the serial cumulative budget only
-			// on aborts — are invariant across workers.
-			repaired = s.repairOrderRuns()
-		} else {
-			repaired = s.repairOrder()
-		}
-		if repaired {
-			s.statUpdates++
-		}
-	}
-	if !repaired {
+	repaired := reuse && s.repairOrderRuns(p)
+	if repaired {
+		s.stats.Updates++
+	} else {
 		if !reuse {
-			// Fresh build (first Prepare, or the world size changed):
-			// start from the identity permutation like the rebuild
-			// path always has.
+			// Fresh build (first Build, or the world size changed):
+			// start from the identity permutation.
 			for i := range s.order {
 				s.order[i] = int32(i)
 			}
 		}
 		// On a budget-exceeded fallback the partially repaired order is
-		// still a valid permutation; sorting it as-is is correct (the
-		// candidate set does not depend on how equal keys permute).
+		// still a valid permutation; sorting it as-is is correct (rows
+		// do not depend on how equal keys permute).
 		s.sorter.order, s.sorter.lox = s.order, s.lox
 		sort.Sort(&s.sorter)
-		if s.incremental {
-			s.statRebuilds++
-		}
+		s.stats.Rebuilds++
 	}
-	s.lastIncremental = repaired
-
-	if s.incremental {
-		if cap(s.sortedBox) < 3*n {
-			s.sortedBox = make([]float64, 3*n)
-		}
-		s.sortedBox = s.sortedBox[:3*n]
-		for k, id := range s.order {
-			s.sortedLo[k] = s.lox[id]
-			s.sortedBox[3*k] = s.hix[id]
-			s.sortedBox[3*k+1] = s.loy[id]
-			s.sortedBox[3*k+2] = s.hiy[id]
-		}
-	} else {
-		for k, id := range s.order {
-			s.sortedLo[k] = s.lox[id]
-		}
+	for k, id := range s.order {
+		s.sortedLo[k] = s.lox[id]
+		s.sortedBox[3*k] = s.hix[id]
+		s.sortedBox[3*k+1] = s.loy[id]
+		s.sortedBox[3*k+2] = s.hiy[id]
 	}
 	s.prepared = true
+
+	t, segs := s.tb.build(s, s.order, n, p)
+	s.stats.Queries += int64(n)
+	s.stats.Candidates += int64(len(t.Cand))
+	s.stats.Segments += int64(segs)
+	return t
 }
 
-// repairBudget bounds the total insertion shifts Prepare may spend
+// markRow sets the bit of every aircraft whose envelope overlaps
+// aircraft i's on both axes. Pure with respect to the built index, so
+// the row is independent of which worker computes it.
+//
+//atm:noalloc
+func (s *Sweep) markRow(i int, words []uint64) {
+	qloX, qhiX := s.lox[i], s.hix[i]
+	qloY, qhiY := s.loy[i], s.hiy[i]
+	// The window starts one slack below the widest-envelope bound so a
+	// rounding error in an envelope's width can never drop a neighbour
+	// whose interval still reaches qloX; the exact interval tests below
+	// decide membership.
+	start := sort.SearchFloat64s(s.sortedLo, qloX-s.maxW-slack)
+	// First sorted low-x above qhiX: where the window ends.
+	lo, hi := start, s.n
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s.sortedLo[mid] <= qhiX {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	box := s.sortedBox
+	for k := start; k < lo; k++ {
+		b := 3 * k
+		if box[b] < qloX {
+			continue
+		}
+		if box[b+1] > qhiY || box[b+2] < qloY {
+			continue
+		}
+		j := s.order[k]
+		words[j>>6] |= 1 << (uint(j) & 63)
+	}
+}
+
+// repairBudget bounds the total insertion shifts a build may spend
 // repairing the previous order before falling back to the full sort.
 // ~4·N·log₂N shifts is the point where repair work rivals the
 // comparison sort it replaces; normal per-period motion costs well
@@ -302,23 +219,59 @@ func repairBudget(n int) int64 {
 	return 4 * int64(n) * int64(bits.Len(uint(n)))
 }
 
-// repairOrder restores sortedness of order (keyed by lox) with a
-// bounded insertion sort, counting how many elements were out of place
-// (resorted) and how far they shifted (moved). It returns false if the
-// shift budget was exceeded; order is then still a valid permutation
-// and the caller falls back to the full sort.
+// minmaxJob computes one repair block's key minimum and maximum (the
+// low-x of the current order) for the run-boundary scan.
+type minmaxJob struct{ s *Sweep }
+
+//atm:noalloc
+//atm:noescape
+func (j *minmaxJob) Chunk(_, lo, hi int) {
+	s := j.s
+	mn, mx := math.Inf(1), math.Inf(-1)
+	for k := lo; k < hi; k++ {
+		v := s.lox[s.order[k]]
+		if v < mn {
+			mn = v
+		}
+		if v > mx {
+			mx = v
+		}
+	}
+	c := lo / repairChunk
+	s.chunkMin[c], s.chunkMax[c] = mn, mx
+}
+
+// repairJob insertion-repairs one independent run of the sorted order.
+type repairJob struct{ s *Sweep }
+
+//atm:noalloc
+//atm:noescape
+func (j *repairJob) Chunk(_, lo, hi int) {
+	s := j.s
+	for ri := lo; ri < hi; ri++ {
+		runLo := int(s.runs[ri])
+		runHi := s.n
+		if ri+1 < len(s.runs) {
+			runHi = int(s.runs[ri+1])
+		}
+		s.runStats[ri] = s.repairRun(runLo, runHi)
+	}
+}
+
+// repairRun insertion-sorts order[lo:hi) by low-x with a local shift
+// budget. An abort leaves the run a valid permutation.
 //
 //atm:noalloc
 //atm:noescape
-func (s *Sweep) repairOrder() bool {
+func (s *Sweep) repairRun(lo, hi int) runStat {
 	order, lox := s.order, s.lox
-	budget := repairBudget(len(order))
+	budget := repairBudget(s.n)
 	var shifts, resorted int64
-	for k := 1; k < len(order); k++ {
+	for k := lo + 1; k < hi; k++ {
 		id := order[k]
 		key := lox[id]
 		j := k
-		for j > 0 && lox[order[j-1]] > key {
+		for j > lo && lox[order[j-1]] > key {
 			order[j] = order[j-1]
 			j--
 		}
@@ -329,118 +282,85 @@ func (s *Sweep) repairOrder() bool {
 		resorted++
 		shifts += int64(k - j)
 		// Checked only after the element is fully inserted so that an
-		// abort always leaves order a valid permutation.
+		// abort always leaves the run a valid permutation.
 		if shifts > budget {
-			s.statMoved += shifts
-			s.statResorted += resorted
-			return false
+			return runStat{shifts: shifts, resorted: resorted, ok: false}
 		}
 	}
-	s.statMoved += shifts
-	s.statResorted += resorted
-	return true
+	return runStat{shifts: shifts, resorted: resorted, ok: true}
 }
 
-// Candidates returns the aircraft whose envelopes overlap the track's
-// on both axes, ascending. Safe for concurrent use after Prepare.
-func (s *Sweep) Candidates(w *airspace.World, track *airspace.Aircraft) []int32 {
-	return s.AppendCandidates(nil, w, track)
-}
-
-// getScratch returns a pooled bitmap sized for nw words; growth is the
-// cold path kept outside AppendCandidates' noalloc contract.
-func (s *Sweep) getScratch(nw int) *sweepScratch {
-	sc, _ := s.scratch.Get().(*sweepScratch)
-	if sc == nil {
-		sc = &sweepScratch{}
-	}
-	if len(sc.words) < nw {
-		sc.words = make([]uint64, nw)
-	}
-	return sc
-}
-
-// AppendCandidates is Candidates emitting into the caller's buffer: the
-// bitmap walk appends straight to dst, so a reused buffer makes the
-// query allocation-free. Safe for concurrent use after Prepare.
+// repairOrderRuns restores the sorted order in place. It splits the
+// nearly sorted order into independent runs at block boundaries where
+// every key to the left is <= every key to the right — the maximum of
+// the prefix against the minimum of the whole suffix, since a small key
+// may sit several blocks further on — and insertion-repairs the runs in
+// parallel. Sorting each run then sorts the whole order. The partition
+// depends only on the data and each run's repair (and its abort point,
+// bounded by a per-run budget) is deterministic, so the resulting order
+// and the statistics are identical at every worker count. It returns
+// false if any run aborted or the total spend exceeded the global
+// budget; order is then still a valid permutation and the caller falls
+// back to the full sort.
 //
-//atm:noalloc
-func (s *Sweep) AppendCandidates(dst []int32, w *airspace.World, track *airspace.Aircraft) []int32 {
-	if s.n == 0 {
-		return dst
+//atm:ordered-merge
+func (s *Sweep) repairOrderRuns(p *parexec.Pool) bool {
+	n := len(s.order)
+	chunks := (n + repairChunk - 1) / repairChunk
+	s.chunkMin = s.chunkMin[:chunks]
+	s.chunkMax = s.chunkMax[:chunks]
+	s.minmax.s = s
+	runRange(p, n, repairChunk, &s.minmax)
+
+	s.splitRuns()
+	nr := len(s.runs)
+	s.runStats = s.runStats[:nr]
+	s.repair.s = s
+	runRange(p, nr, 1, &s.repair)
+
+	var shifts, resorted int64
+	ok := true
+	for ri := range s.runStats {
+		shifts += s.runStats[ri].shifts
+		resorted += s.runStats[ri].resorted
+		ok = ok && s.runStats[ri].ok
 	}
-	nw := (s.n + 63) / 64
-	sc := s.getScratch(nw) //atm:allow noallocflow -- scratch acquisition allocates only on pool miss or fleet growth; steady state reuses pooled words
-	dst = s.appendCandidatesID(dst, int(track.ID), sc.words)
-	s.scratch.Put(sc)
-	return dst
+	s.stats.Moved += shifts
+	s.stats.Resorted += resorted
+	return ok && shifts <= repairBudget(n)
 }
 
-// appendCandidatesID is the query core shared by AppendCandidates and
-// the table build: emit aircraft i's candidates into dst using the
-// caller's bitmap words (len >= ceil(n/64), all zero; left zero on
-// return). Pure with respect to the prepared index, so repeated calls
-// — and the table built from one walk — return identical sets.
-//
-//atm:noalloc
-func (s *Sweep) appendCandidatesID(dst []int32, i int, words []uint64) []int32 {
-	qloX, qhiX := s.lox[i], s.hix[i]
-	qloY, qhiY := s.loy[i], s.hiy[i]
+// splitRuns records in runs the first position of every independent
+// repair run: block c starts a run when the largest key in the blocks
+// before it is <= the smallest key in block c and every block after
+// it. It overwrites chunkMin with those suffix minima.
+func (s *Sweep) splitRuns() {
+	mins, maxs := s.chunkMin, s.chunkMax
+	for c := len(mins) - 2; c >= 0; c-- {
+		if mins[c+1] < mins[c] {
+			mins[c] = mins[c+1]
+		}
+	}
+	s.runs = append(s.runs[:0], 0)
+	prefix := maxs[0]
+	for c := 1; c < len(mins); c++ {
+		if prefix <= mins[c] {
+			s.runs = append(s.runs, int32(c*repairChunk))
+		}
+		if maxs[c] > prefix {
+			prefix = maxs[c]
+		}
+	}
+}
 
-	nw := (s.n + 63) / 64
-	start := sort.SearchFloat64s(s.sortedLo, qloX-s.maxW)
-	if s.incremental {
-		// Dense walk over the sorted mirror: identical comparisons on
-		// identical values, so the bitmap — and therefore the emitted
-		// candidate set — matches the gather path bit for bit. The
-		// window end is resolved by binary search up front (first
-		// sorted low-x above qhiX — exactly where the rebuild path's
-		// walk stops) so the walk spends no comparison on it.
-		lo, hi := start, s.n
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if s.sortedLo[mid] <= qhiX {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		end := lo
-		box := s.sortedBox
-		for k := start; k < end; k++ {
-			b := 3 * k
-			if box[b] < qloX {
-				continue
-			}
-			if box[b+1] > qhiY || box[b+2] < qloY {
-				continue
-			}
-			j := s.order[k]
-			words[j>>6] |= 1 << (uint(j) & 63)
-		}
-	} else {
-		for k := start; k < s.n && s.sortedLo[k] <= qhiX; k++ {
-			j := s.order[k]
-			if s.hix[j] < qloX {
-				continue
-			}
-			if s.loy[j] > qhiY || s.hiy[j] < qloY {
-				continue
-			}
-			words[j>>6] |= 1 << (uint(j) & 63)
-		}
+// runRange runs body over [0, n) in grain chunks: on p when there is
+// one, otherwise serially as worker 0.
+func runRange(p *parexec.Pool, n, grain int, body parexec.Body) {
+	if p != nil {
+		p.RunBody(n, grain, body)
+		return
 	}
-	for wi := 0; wi < nw; wi++ {
-		word := words[wi]
-		if word == 0 {
-			continue
-		}
-		words[wi] = 0
-		base := int32(wi) << 6
-		for word != 0 {
-			dst = append(dst, base+int32(bits.TrailingZeros64(word)))
-			word &= word - 1
-		}
+	for lo := 0; lo < n; lo += grain {
+		body.Chunk(0, lo, min(lo+grain, n))
 	}
-	return dst
 }

@@ -1,49 +1,44 @@
-// Worker-parallel candidate tables: the sharded sweep mode.
+// Worker-parallel candidate tables.
 //
 // A PairTable materializes every track's broad-phase candidate set for
-// one detection invocation in CSR form. Building it walks the sweep's
-// sorted order once, partitioned into grain-aligned contiguous segments
-// that self-schedule across the shared parexec pool: each segment emits
-// its candidate runs into the segment's own padded buffer, and a second
-// pass copies the runs into their final CSR slots, whose offsets depend
-// only on the per-track candidate counts — so the finished table is
-// byte-identical at every worker count, whatever order the segments
-// were claimed in. Buffers are per segment rather than per worker so
-// their steady-state sizes are stable too: a segment's candidate count
-// drifts slowly with traffic, while a worker's share of dynamically
-// claimed segments varies run to run and would regrow its buffer
-// toward the full table size.
+// one detection invocation in CSR form. Both pruning indexes build it
+// with the same two-pass builder: the index's walk order (the sweep's
+// sorted order, the grid's index order) is partitioned into
+// grain-aligned contiguous segments that self-schedule across the
+// parexec pool; each segment emits its candidate rows into the
+// segment's own padded buffer, and a second pass copies the rows into
+// their final CSR slots, whose offsets depend only on the per-track
+// candidate counts — so the finished table is byte-identical at every
+// worker count, whatever order the segments were claimed in. Buffers
+// are per segment rather than per worker so their steady-state sizes
+// are stable too: a segment's candidate count drifts slowly with
+// traffic, while a worker's share of dynamically claimed segments
+// varies run to run and would regrow its buffer toward the full table
+// size.
 //
 // What the table buys is reuse. The candidate set of a track depends
 // only on positions and speeds, and collision resolution probes rotated
-// headings, which preserve speed; the sweep index is never re-prepared
-// within an invocation. Every rotation probe and every dirty-replay
-// rescan can therefore serve from the table instead of re-running the
-// bitmap walk — bit-identically, because AppendCandidates is a pure
-// function of the prepared index.
+// headings, which preserve speed; the index is never rebuilt within an
+// invocation. Every rotation probe and every dirty-replay rescan
+// therefore serves from the table instead of re-running the index
+// query.
 package broadphase
 
 import (
-	"math"
+	"math/bits"
 
 	"repro/internal/parexec"
 )
 
 // tableGrain is the segment size of the table build: one self-scheduled
-// chunk covers this many consecutive sorted positions. Small enough to
+// chunk covers this many consecutive walk positions. Small enough to
 // load-balance skewed candidate counts, large enough that the per-chunk
-// bookkeeping (owner, offset, scratch acquisition) is noise.
+// bookkeeping is noise.
 const tableGrain = 256
 
-// repairChunk is the block size of the parallel insertion-repair run
-// detection: per-block key minima/maxima are computed in parallel, and
-// a serial prefix pass marks block boundaries no element can cross.
-const repairChunk = 512
-
 // PairTable holds every track's candidate set in CSR form: track i's
-// candidates are Cand[Start[i]:Start[i+1]], ascending, exactly the
-// slice AppendCandidates would have emitted. It is valid until the next
-// Prepare of the source that built it.
+// candidates are Cand[Start[i]:Start[i+1]], ascending. It is valid
+// until the next Build of the index that returned it.
 type PairTable struct {
 	Start []int32
 	Cand  []int32
@@ -57,183 +52,84 @@ func (t *PairTable) Candidates(i int) []int32 {
 	return t.Cand[t.Start[i]:t.Start[i+1]]
 }
 
-// TableSource is implemented by pair sources that can materialize a
-// candidate table with a worker-parallel index walk (the sharded mode).
-// Sources without the mode — or instances constructed without it — are
-// discovered via TableOf, which returns nil for them.
-type TableSource interface {
-	PairSource
-	// Sharded reports whether the worker-parallel table mode is enabled
-	// on this instance.
-	Sharded() bool
-	// SetPool hands the source the engine pool its parallel phases
-	// (table build, index repair) run on. nil keeps them serial.
-	// Sequential, like Prepare.
-	SetPool(p *parexec.Pool)
-	// PrepareTable builds the candidate table for every track against
-	// the index established by the most recent Prepare. Sequential
-	// orchestration, like Prepare; the returned table is read-only and
-	// valid until the next Prepare.
-	PrepareTable() *PairTable
-	// AddKernelBatches accumulates consumer-side batched-kernel
-	// iteration counts so telemetry can drain them alongside the
-	// source's own segment counts. Sequential, like Prepare.
-	AddKernelBatches(n int64)
-	// TakeShardStats drains the segment and batch counters. Sequential.
-	TakeShardStats() (segments, batches int64)
+// rowSource is the query half of an index: it marks track i's
+// candidates in words (one bit per aircraft; zero on entry) and leaves
+// the emission to the builder.
+type rowSource interface {
+	markRow(i int, words []uint64)
 }
 
-// TableOf returns the TableSource behind src when the sharded mode is
-// enabled on it, unwrapping decorators such as Counted, and nil
-// otherwise.
-func TableOf(src PairSource) TableSource {
-	for src != nil {
-		if ts, ok := src.(TableSource); ok {
-			if ts.Sharded() {
-				return ts
-			}
-			return nil
-		}
-		u, ok := src.(interface{ Unwrap() PairSource })
-		if !ok {
-			return nil
-		}
-		src = u.Unwrap()
-	}
-	return nil
-}
-
-// tableBuf is one segment's candidate-run buffer, padded so slice
+// tableBuf is one segment's candidate-row buffer, padded so slice
 // headers written by different workers don't share a cache line.
 type tableBuf struct {
 	cand []int32
 	_    [40]byte
 }
 
-// runStat is one repair run's outcome: the shifts it spent, the
-// elements it found out of place, and whether it stayed within budget.
-type runStat struct {
-	shifts   int64
-	resorted int64
-	ok       bool
+// tableBuilder is the shared fill/copy builder and its owned scratch:
+// the table itself, the per-segment row buffers, the per-track counts
+// and one query bitmap per worker.
+type tableBuilder struct {
+	src   rowSource
+	order []int32 // walk order; nil walks index order
+	n     int
+
+	table PairTable
+	segs  []tableBuf
+	cnt   []int32
+	words [][]uint64
+
+	fill   fillJob
+	copier copyJob
 }
 
-// Sharded reports whether the worker-parallel table mode is enabled.
-func (s *Sweep) Sharded() bool { return s.sharded }
-
-// SetPool hands the sweep the engine pool PrepareTable's segment walk
-// and Prepare's parallel repair run on; nil keeps both serial.
-func (s *Sweep) SetPool(p *parexec.Pool) { s.pool = p }
-
-// AddKernelBatches accumulates a consumer's batched-kernel iteration
-// count. Sequential, like Prepare.
-func (s *Sweep) AddKernelBatches(n int64) { s.statBatches += n }
-
-// TakeShardStats drains the segment and batch counters accumulated
-// since the last call. Sequential, like Prepare.
-func (s *Sweep) TakeShardStats() (segments, batches int64) {
-	segments, batches = s.statSegments, s.statBatches
-	s.statSegments, s.statBatches = 0, 0
-	return segments, batches
-}
-
-// fillJob walks one grain-aligned segment of sorted positions, emitting
-// each position's candidate run into the segment's buffer and recording
-// the run length per track. The buffer belongs to the segment, not the
-// claiming worker, so the copy pass finds each run at a fixed place and
-// steady-state buffer sizes are independent of the claim order.
-type fillJob struct{ s *Sweep }
-
-//atm:noalloc
-func (j *fillJob) Chunk(_, lo, hi int) {
-	s := j.s
-	chunk := lo / tableGrain
-	buf := s.chunkBufs[chunk].cand[:0]
-	nw := (s.n + 63) / 64
-	sc := s.getScratch(nw) //atm:allow noallocflow -- scratch acquisition allocates only on pool miss or fleet growth; steady state reuses pooled words
-	for k := lo; k < hi; k++ {
-		id := s.order[k]
-		before := len(buf)
-		buf = s.appendCandidatesID(buf, int(id), sc.words)
-		s.cnt[id] = int32(len(buf) - before)
+// at returns the track at walk position k.
+//
+//atm:inline
+func (b *tableBuilder) at(k int) int {
+	if b.order == nil {
+		return k
 	}
-	s.scratch.Put(sc)
-	s.chunkBufs[chunk].cand = withHeadroom(buf) //atm:allow noallocflow -- headroom regrow only, amortized to nothing in steady state
+	return int(b.order[k])
 }
 
-// withHeadroom returns buf, reallocated with an eighth of spare
-// capacity when it has nearly run out. Segment candidate counts drift
-// a little every period, and a buffer ending exactly at capacity would
-// regrow on the very next build; the headroom absorbs the drift so the
-// steady state stays allocation-free. Same policy as the CSR Cand
-// array in PrepareTable.
-func withHeadroom(buf []int32) []int32 {
-	if cap(buf)-len(buf) >= len(buf)/16 {
-		return buf
-	}
-	nb := make([]int32, len(buf), len(buf)+len(buf)/8+64)
-	copy(nb, buf)
-	return nb
-}
-
-// copyJob moves one segment's candidate runs from the segment buffer
-// into their final CSR slots. Offsets are fully determined by the
-// per-track counts, so the result is independent of the fill pass's
-// chunk-claim order.
-type copyJob struct{ s *Sweep }
-
-//atm:noalloc
-//atm:noescape
-func (j *copyJob) Chunk(_, lo, hi int) {
-	s := j.s
-	chunk := lo / tableGrain
-	src := s.chunkBufs[chunk].cand
-	off := 0
-	for k := lo; k < hi; k++ {
-		id := s.order[k]
-		c := int(s.cnt[id])
-		st := int(s.table.Start[id])
-		copy(s.table.Cand[st:st+c], src[off:off+c])
-		off += c
-	}
-}
-
-// PrepareTable builds the candidate table for every track by walking
-// the sorted order in parallel segments. Must follow Prepare (or
-// PrepareColumns) of the same world state.
-func (s *Sweep) PrepareTable() *PairTable {
-	n := s.n
-	t := &s.table
+// build fills the table for n tracks, walking order (nil = index
+// order) on p (nil = serial), and returns it with its segment count.
+func (b *tableBuilder) build(src rowSource, order []int32, n int, p *parexec.Pool) (*PairTable, int) {
+	b.src, b.order, b.n = src, order, n
+	t := &b.table
 	if cap(t.Start) < n+1 {
 		t.Start = make([]int32, n+1)
 	}
 	t.Start = t.Start[:n+1]
-	if cap(s.cnt) < n {
-		s.cnt = make([]int32, n)
+	if cap(b.cnt) < n {
+		b.cnt = make([]int32, n)
 	}
-	s.cnt = s.cnt[:n]
-	chunks := (n + tableGrain - 1) / tableGrain
-	if len(s.chunkBufs) < chunks {
-		s.chunkBufs = append(s.chunkBufs[:cap(s.chunkBufs)], make([]tableBuf, chunks-cap(s.chunkBufs))...)
+	b.cnt = b.cnt[:n]
+	segs := (n + tableGrain - 1) / tableGrain
+	if len(b.segs) < segs {
+		b.segs = append(b.segs, make([]tableBuf, segs-len(b.segs))...)
 	}
-
-	s.fill.s = s
-	if s.pool == nil {
-		for lo := 0; lo < n; lo += tableGrain {
-			hi := lo + tableGrain
-			if hi > n {
-				hi = n
-			}
-			s.fill.Chunk(0, lo, hi)
+	workers := 1
+	if p != nil {
+		workers = p.Workers()
+	}
+	if len(b.words) < workers {
+		b.words = append(b.words, make([][]uint64, workers-len(b.words))...)
+	}
+	nw := (n + 63) / 64
+	for w := range b.words[:workers] {
+		if len(b.words[w]) < nw {
+			b.words[w] = make([]uint64, nw)
 		}
-	} else {
-		s.pool.RunBody(n, tableGrain, &s.fill)
 	}
 
+	b.fill.b = b
+	runRange(p, n, tableGrain, &b.fill)
 	sum := int32(0)
 	for i := 0; i < n; i++ {
 		t.Start[i] = sum
-		sum += s.cnt[i]
+		sum += b.cnt[i]
 	}
 	t.Start[n] = sum
 	if cap(t.Cand) < int(sum) {
@@ -243,161 +139,78 @@ func (s *Sweep) PrepareTable() *PairTable {
 		t.Cand = make([]int32, sum, int(sum)+int(sum)/8)
 	}
 	t.Cand = t.Cand[:sum]
-
-	s.copier.s = s
-	if s.pool == nil {
-		for lo := 0; lo < n; lo += tableGrain {
-			hi := lo + tableGrain
-			if hi > n {
-				hi = n
-			}
-			s.copier.Chunk(0, lo, hi)
-		}
-	} else {
-		s.pool.RunBody(n, tableGrain, &s.copier)
-	}
-	s.statSegments += int64(chunks)
-	return t
+	b.copier.b = b
+	runRange(p, n, tableGrain, &b.copier)
+	return t, segs
 }
 
-// minmaxJob computes one repair block's key minimum and maximum (the
-// low-x of the current order) for the run-boundary scan.
-type minmaxJob struct{ s *Sweep }
+// fillJob walks one grain-aligned segment of walk positions, emitting
+// each track's candidate row into the segment's buffer and recording
+// the row length per track. The buffer belongs to the segment, not the
+// claiming worker, so the copy pass finds each row at a fixed place
+// and steady-state buffer sizes are independent of the claim order.
+type fillJob struct{ b *tableBuilder }
 
 //atm:noalloc
-//atm:noescape
-func (j *minmaxJob) Chunk(_, lo, hi int) {
-	s := j.s
-	mn, mx := math.Inf(1), math.Inf(-1)
+func (j *fillJob) Chunk(worker, lo, hi int) {
+	b := j.b
+	seg := lo / tableGrain
+	buf := b.segs[seg].cand[:0]
+	words := b.words[worker]
+	nw := (b.n + 63) / 64
 	for k := lo; k < hi; k++ {
-		v := s.lox[s.order[k]]
-		if v < mn {
-			mn = v
-		}
-		if v > mx {
-			mx = v
-		}
-	}
-	c := lo / repairChunk
-	s.chunkMin[c], s.chunkMax[c] = mn, mx
-}
-
-// repairJob insertion-repairs one independent run of the sorted order.
-type repairJob struct{ s *Sweep }
-
-//atm:noalloc
-//atm:noescape
-func (j *repairJob) Chunk(_, lo, hi int) {
-	s := j.s
-	for ri := lo; ri < hi; ri++ {
-		runLo := int(s.runs[ri])
-		runHi := s.n
-		if ri+1 < len(s.runs) {
-			runHi = int(s.runs[ri+1])
-		}
-		s.runStats[ri] = s.repairRun(runLo, runHi)
-	}
-}
-
-// repairRun is repairOrder restricted to order[lo:hi) with a local
-// shift budget. An abort leaves the run a valid permutation, exactly
-// like the serial repair.
-//
-//atm:noalloc
-//atm:noescape
-func (s *Sweep) repairRun(lo, hi int) runStat {
-	order, lox := s.order, s.lox
-	budget := repairBudget(s.n)
-	var shifts, resorted int64
-	for k := lo + 1; k < hi; k++ {
-		id := order[k]
-		key := lox[id]
-		j := k
-		for j > lo && lox[order[j-1]] > key {
-			order[j] = order[j-1]
-			j--
-		}
-		if j == k {
-			continue
-		}
-		order[j] = id
-		resorted++
-		shifts += int64(k - j)
-		if shifts > budget {
-			return runStat{shifts: shifts, resorted: resorted, ok: false}
-		}
-	}
-	return runStat{shifts: shifts, resorted: resorted, ok: true}
-}
-
-// repairOrderRuns is the sharded mode's repairOrder: it splits the
-// nearly sorted order into independent runs at "clean" block boundaries
-// — positions where every key to the left is <= every key to the right,
-// which the strict-> insertion comparison can never move an element
-// across — and repairs the runs in parallel. The run partition depends
-// only on the data, and each run's repair (and its abort point, bounded
-// by a per-run budget) is deterministic, so the resulting order and the
-// drained statistics are identical at every worker count. Any aborted
-// run, or a total spend over the global budget, falls back to the full
-// sort exactly as the serial repair does.
-//
-//atm:ordered-merge
-func (s *Sweep) repairOrderRuns() bool {
-	n := len(s.order)
-	chunks := (n + repairChunk - 1) / repairChunk
-	if cap(s.chunkMin) < chunks {
-		s.chunkMin = make([]float64, chunks)
-		s.chunkMax = make([]float64, chunks)
-	}
-	s.chunkMin = s.chunkMin[:chunks]
-	s.chunkMax = s.chunkMax[:chunks]
-	s.minmax.s = s
-	if s.pool == nil {
-		for lo := 0; lo < n; lo += repairChunk {
-			hi := lo + repairChunk
-			if hi > n {
-				hi = n
+		id := b.at(k)
+		b.src.markRow(id, words)
+		before := len(buf)
+		for wi := 0; wi < nw; wi++ {
+			word := words[wi]
+			if word == 0 {
+				continue
 			}
-			s.minmax.Chunk(0, lo, hi)
+			words[wi] = 0
+			base := int32(wi) << 6
+			for word != 0 {
+				buf = append(buf, base+int32(bits.TrailingZeros64(word)))
+				word &= word - 1
+			}
 		}
-	} else {
-		s.pool.RunBody(n, repairChunk, &s.minmax)
+		b.cnt[id] = int32(len(buf) - before)
 	}
+	b.segs[seg].cand = withHeadroom(buf) //atm:allow noallocflow -- headroom regrow only, amortized to nothing in steady state
+}
 
-	s.runs = s.runs[:0]
-	s.runs = append(s.runs, 0)
-	prefix := s.chunkMax[0]
-	for c := 1; c < chunks; c++ {
-		if prefix <= s.chunkMin[c] {
-			s.runs = append(s.runs, int32(c*repairChunk))
-		}
-		if s.chunkMax[c] > prefix {
-			prefix = s.chunkMax[c]
-		}
+// withHeadroom returns buf, reallocated with an eighth of spare
+// capacity when it has nearly run out. Segment candidate counts drift
+// a little every period, and a buffer ending exactly at capacity would
+// regrow on the very next build; the headroom absorbs the drift so the
+// steady state stays allocation-free. Same policy as the CSR Cand
+// array in build.
+func withHeadroom(buf []int32) []int32 {
+	if cap(buf)-len(buf) >= len(buf)/16 {
+		return buf
 	}
-	nr := len(s.runs)
-	if cap(s.runStats) < nr {
-		s.runStats = make([]runStat, nr)
-	}
-	s.runStats = s.runStats[:nr]
+	nb := make([]int32, len(buf), len(buf)+len(buf)/8+64)
+	copy(nb, buf)
+	return nb
+}
 
-	s.repair.s = s
-	if s.pool == nil || nr == 1 {
-		for ri := 0; ri < nr; ri++ {
-			s.repair.Chunk(0, ri, ri+1)
-		}
-	} else {
-		s.pool.RunBody(nr, 1, &s.repair)
-	}
+// copyJob moves one segment's candidate rows from the segment buffer
+// into their final CSR slots. Offsets are fully determined by the
+// per-track counts, so the result is independent of the fill pass's
+// chunk-claim order.
+type copyJob struct{ b *tableBuilder }
 
-	var shifts, resorted int64
-	ok := true
-	for ri := range s.runStats {
-		shifts += s.runStats[ri].shifts
-		resorted += s.runStats[ri].resorted
-		ok = ok && s.runStats[ri].ok
+//atm:noalloc
+//atm:noescape
+func (j *copyJob) Chunk(_, lo, hi int) {
+	b := j.b
+	src := b.segs[lo/tableGrain].cand
+	off := 0
+	for k := lo; k < hi; k++ {
+		id := b.at(k)
+		c := int(b.cnt[id])
+		st := int(b.table.Start[id])
+		copy(b.table.Cand[st:st+c], src[off:off+c])
+		off += c
 	}
-	s.statMoved += shifts
-	s.statResorted += resorted
-	return ok && shifts <= repairBudget(n)
 }

@@ -46,27 +46,12 @@ type Config struct {
 	// paper's uniform random setup, bit-exactly. Invalid specs panic;
 	// front ends reject them first through RunParams.Validate.
 	Scenario string
-	// PairSource selects a broadphase pair source ("brute", "grid",
-	// "sweep") for platforms that support pruned Tasks 2-3 scans; the
-	// empty string keeps the paper's all-pairs kernels. Unknown names
-	// panic.
+	// PairSource selects a broadphase index ("brute", "grid", "sweep")
+	// for platforms that support pruned Tasks 2-3 scans; the empty
+	// string keeps the paper's all-pairs kernels. Unknown names panic.
+	// The index persists for the life of the system, so the sweep
+	// repairs its sorted order from one major cycle to the next.
 	PairSource string
-	// Incremental turns on the temporal-coherence mode: the sweep pair
-	// source keeps its sorted order across periods and repairs it
-	// incrementally, and the platforms feed it (and their own inner
-	// loops) from a structure-of-arrays snapshot. Results are
-	// bit-identical to the rebuild mode; only host time changes.
-	// Sources other than "sweep" accept and ignore the flag.
-	Incremental bool
-	// ParShard turns on the worker-parallel sharded broad phase: the
-	// sweep source materializes every track's candidate set in one
-	// parallel walk of its sorted order per Tasks 2-3 invocation, and
-	// the executors feed the fused pair kernel from that table in
-	// branch-free batches of 8. Results are bit-identical to every other
-	// mode at every worker count; only host time changes. Sources other
-	// than "sweep" accept and ignore the flag. Composes freely with
-	// Incremental.
-	ParShard bool
 }
 
 func (c Config) noise() float64 {
@@ -87,15 +72,12 @@ type System struct {
 	period                      int // global period counter
 	recorder                    *replay.Recorder
 	rec                         *telemetry.Recorder
-	pairSrc                     broadphase.PairSource  // as installed on the platform
-	counted                     *broadphase.Counted    // non-nil while telemetry is attached
-	maintainer                  broadphase.Maintainer  // non-nil when the source runs incrementally
-	tableSrc                    broadphase.TableSource // non-nil when the source runs sharded
+	index                       broadphase.Index // as installed on the platform; nil for all-pairs
 	schedObs                    telemetry.SchedObserver
 	idBPQueries, idBPCandidates telemetry.NameID
 	idBPUpdates, idBPRebuilds   telemetry.NameID
 	idBPMoved, idBPResorted     telemetry.NameID
-	idBPSegments, idKBatches    telemetry.NameID
+	idBPSegments                telemetry.NameID
 }
 
 // SetRecorder attaches a replay recorder; every subsequent period is
@@ -105,22 +87,16 @@ func (s *System) SetRecorder(r *replay.Recorder) { s.recorder = r }
 // SetTelemetry attaches a telemetry recorder to the whole system (nil
 // detaches): the scheduler reports period/task spans and deadline
 // counters, the platform reports per-phase kernel spans and task
-// statistics, and any configured broadphase source is wrapped so
-// candidate-pair volumes appear as counters. Telemetry never perturbs
-// the simulation — worlds and modeled durations are bit-identical with
-// and without a recorder attached.
+// statistics, and any configured broadphase index reports its
+// candidate volumes and maintenance work as counters. Telemetry never
+// perturbs the simulation — worlds and modeled durations are
+// bit-identical with and without a recorder attached.
 func (s *System) SetTelemetry(rec *telemetry.Recorder) {
 	s.rec = rec
 	if rec == nil {
 		s.tracker.Observer = nil
 		if inst, ok := s.Platform.(platform.Instrumented); ok {
 			inst.SetTelemetry(nil)
-		}
-		if s.counted != nil {
-			if ps, ok := s.Platform.(platform.PairSourced); ok {
-				ps.SetPairSource(s.pairSrc)
-			}
-			s.counted = nil
 		}
 		return
 	}
@@ -129,23 +105,15 @@ func (s *System) SetTelemetry(rec *telemetry.Recorder) {
 	if inst, ok := s.Platform.(platform.Instrumented); ok {
 		inst.SetTelemetry(rec)
 	}
-	if s.pairSrc != nil {
-		if ps, ok := s.Platform.(platform.PairSourced); ok {
-			s.counted = broadphase.NewCounted(s.pairSrc)
-			ps.SetPairSource(s.counted)
-			s.idBPQueries = rec.Intern(telemetry.NameBroadphaseQueries)
-			s.idBPCandidates = rec.Intern(telemetry.NameBroadphaseCandidates)
-			if s.maintainer != nil {
-				s.idBPUpdates = rec.Intern(telemetry.NameBroadphaseUpdates)
-				s.idBPRebuilds = rec.Intern(telemetry.NameBroadphaseRebuilds)
-				s.idBPMoved = rec.Intern(telemetry.NameBroadphaseMoved)
-				s.idBPResorted = rec.Intern(telemetry.NameBroadphaseResorted)
-			}
-			if s.tableSrc != nil {
-				s.idBPSegments = rec.Intern(telemetry.NameBroadphaseSegments)
-				s.idKBatches = rec.Intern(telemetry.NameKernelBatches)
-			}
-		}
+	if s.index != nil {
+		s.index.TakeStats() // count only the work done while attached
+		s.idBPQueries = rec.Intern(telemetry.NameBroadphaseQueries)
+		s.idBPCandidates = rec.Intern(telemetry.NameBroadphaseCandidates)
+		s.idBPUpdates = rec.Intern(telemetry.NameBroadphaseUpdates)
+		s.idBPRebuilds = rec.Intern(telemetry.NameBroadphaseRebuilds)
+		s.idBPMoved = rec.Intern(telemetry.NameBroadphaseMoved)
+		s.idBPResorted = rec.Intern(telemetry.NameBroadphaseResorted)
+		s.idBPSegments = rec.Intern(telemetry.NameBroadphaseSegments)
 	}
 	rec.Meta("platform", s.Platform.Name())
 	if s.cfg.Scenario != "" {
@@ -153,12 +121,6 @@ func (s *System) SetTelemetry(rec *telemetry.Recorder) {
 	}
 	if s.cfg.PairSource != "" {
 		rec.Meta("pairsource", s.cfg.PairSource)
-	}
-	if s.cfg.Incremental {
-		rec.Meta("coherent", "true")
-	}
-	if s.cfg.ParShard {
-		rec.Meta("parshard", "true")
 	}
 	rec.Meta("n", fmt.Sprintf("%d", s.World.N()))
 	rec.Meta("seed", fmt.Sprintf("%d", s.cfg.Seed))
@@ -180,50 +142,47 @@ func NewSystem(p platform.Platform, cfg Config) *System {
 	if err := spec.Validate(cfg.N); err != nil {
 		panic(fmt.Sprintf("core: %v", err))
 	}
-	src := applyPairSource(p, cfg)
+	idx := applyPairSource(p, cfg)
 	root := rng.New(cfg.Seed)
 	setupRng := root.Split()
 	radarRng := root.Split()
 	return &System{
-		Platform:   p,
-		World:      spec.Generate(cfg.N, setupRng),
-		cfg:        cfg,
-		radarRng:   radarRng,
-		tracker:    sched.NewTracker(cfg.PeriodDur),
-		pairSrc:    src,
-		maintainer: broadphase.MaintainerOf(src),
-		tableSrc:   broadphase.TableOf(src),
+		Platform: p,
+		World:    spec.Generate(cfg.N, setupRng),
+		cfg:      cfg,
+		radarRng: radarRng,
+		tracker:  sched.NewTracker(cfg.PeriodDur),
+		index:    idx,
 	}
 }
 
 // NewSystemWithWorld binds the platform to an externally constructed
 // traffic scenario instead of random flight setup. cfg.N is ignored.
 func NewSystemWithWorld(p platform.Platform, w *airspace.World, cfg Config) *System {
-	src := applyPairSource(p, cfg)
+	idx := applyPairSource(p, cfg)
 	root := rng.New(cfg.Seed)
 	root.Split() // keep the stream layout of NewSystem
 	radarRng := root.Split()
 	return &System{
-		Platform:   p,
-		World:      w,
-		cfg:        cfg,
-		radarRng:   radarRng,
-		tracker:    sched.NewTracker(cfg.PeriodDur),
-		pairSrc:    src,
-		maintainer: broadphase.MaintainerOf(src),
-		tableSrc:   broadphase.TableOf(src),
+		Platform: p,
+		World:    w,
+		cfg:      cfg,
+		radarRng: radarRng,
+		tracker:  sched.NewTracker(cfg.PeriodDur),
+		index:    idx,
 	}
 }
 
-// applyPairSource wires the configured broadphase source into the
-// platform and returns it so telemetry can later wrap it. Requesting a
-// source on a platform that cannot use one is a configuration error and
-// panics, as silently ignoring it would skew measured op counts.
-func applyPairSource(p platform.Platform, cfg Config) broadphase.PairSource {
+// applyPairSource wires the configured broadphase index into the
+// platform and returns it so telemetry can drain its counters.
+// Requesting an index on a platform that cannot use one is a
+// configuration error and panics, as silently ignoring it would skew
+// measured op counts.
+func applyPairSource(p platform.Platform, cfg Config) broadphase.Index {
 	if cfg.PairSource == "" {
 		return nil
 	}
-	src, err := broadphase.NewWith(cfg.PairSource, broadphase.Options{Incremental: cfg.Incremental, Sharded: cfg.ParShard})
+	idx, err := broadphase.New(cfg.PairSource)
 	if err != nil {
 		panic(fmt.Sprintf("core: %v", err))
 	}
@@ -231,8 +190,8 @@ func applyPairSource(p platform.Platform, cfg Config) broadphase.PairSource {
 	if !ok {
 		panic(fmt.Sprintf("core: platform %s does not support pair sources", p.Name()))
 	}
-	ps.SetPairSource(src)
-	return src
+	ps.SetPairSource(idx)
+	return idx
 }
 
 // RunPeriod executes one half-second period: radar generation (host
@@ -252,29 +211,22 @@ func (s *System) RunPeriod() {
 			t23 = s.Platform.DetectResolve(s.World)
 			return t23
 		})
-		if s.counted != nil {
+		if s.rec != nil && s.index != nil {
 			// Drained sequentially between tasks, after the platform's
 			// internal barriers — the counts are stable here.
-			q, c := s.counted.Take()
-			if q != 0 || c != 0 {
-				s.rec.Counter(s.idBPQueries, q)
-				s.rec.Counter(s.idBPCandidates, c)
+			st := s.index.TakeStats()
+			if st.Queries != 0 || st.Candidates != 0 {
+				s.rec.Counter(s.idBPQueries, st.Queries)
+				s.rec.Counter(s.idBPCandidates, st.Candidates)
 			}
-			if s.maintainer != nil {
-				u := s.maintainer.TakeUpdateStats()
-				if u.Updates != 0 || u.Rebuilds != 0 {
-					s.rec.Counter(s.idBPUpdates, u.Updates)
-					s.rec.Counter(s.idBPRebuilds, u.Rebuilds)
-					s.rec.Counter(s.idBPMoved, u.Moved)
-					s.rec.Counter(s.idBPResorted, u.Resorted)
-				}
+			if st.Updates != 0 || st.Rebuilds != 0 {
+				s.rec.Counter(s.idBPUpdates, st.Updates)
+				s.rec.Counter(s.idBPRebuilds, st.Rebuilds)
+				s.rec.Counter(s.idBPMoved, st.Moved)
+				s.rec.Counter(s.idBPResorted, st.Resorted)
 			}
-			if s.tableSrc != nil {
-				segments, batches := s.tableSrc.TakeShardStats()
-				if segments != 0 || batches != 0 {
-					s.rec.Counter(s.idBPSegments, segments)
-					s.rec.Counter(s.idKBatches, batches)
-				}
+			if st.Segments != 0 {
+				s.rec.Counter(s.idBPSegments, st.Segments)
 			}
 		}
 	}
@@ -328,8 +280,8 @@ func Measure(platformName string, n, cycles int, seed uint64) (Measurement, erro
 	return MeasureWith(platformName, cycles, Config{N: n, Seed: seed})
 }
 
-// MeasureWith is Measure under a full Config: scenario, pair source
-// and coherence mode all apply. cfg.N is the aircraft count. Unlike
+// MeasureWith is Measure under a full Config: scenario and pair source
+// both apply. cfg.N is the aircraft count. Unlike
 // NewSystem, a scenario that cannot hold cfg.N aircraft is an error,
 // not a panic — sweeps reach counts front-end validation cannot see.
 func MeasureWith(platformName string, cycles int, cfg Config) (Measurement, error) {

@@ -50,13 +50,6 @@ type RunParams struct {
 	// PairSource is empty (the paper's all-pairs kernels) or a
 	// registered broad-phase source name.
 	PairSource string
-	// Coherent asks for the temporal-coherence incremental broad phase
-	// (-coherent). It is only meaningful with a pair source configured.
-	Coherent bool
-	// ParShard asks for the worker-parallel sharded broad phase with the
-	// batched pair kernel (-parshard). It is only meaningful with a pair
-	// source configured.
-	ParShard bool
 }
 
 // Validate checks every knob and returns a *ValidationError describing
@@ -90,12 +83,6 @@ func (p RunParams) Validate() error {
 		if err := spec.Validate(p.N); err != nil {
 			return validationErrorf("bad scenario (-scenario): %v", err)
 		}
-	}
-	if p.Coherent && p.PairSource == "" {
-		return validationErrorf("-coherent needs a pair source (-pairsource; \"sweep\" runs incrementally, others ignore the flag)")
-	}
-	if p.ParShard && p.PairSource == "" {
-		return validationErrorf("-parshard needs a pair source (-pairsource; \"sweep\" runs sharded, others ignore the flag)")
 	}
 	return nil
 }

@@ -62,28 +62,15 @@ type deviceState struct {
 	newDX, newDY []float64
 	resolved     []int32
 
-	// src, when set, prunes the pair scan to its candidate sets; the
-	// all-pairs kernel of the paper is the src == nil path. tab, set
-	// when src has the sharded table mode, holds the candidate table
-	// built once per launch sequence; every probe then serves from it
-	// bit-identically (candidate sets depend only on positions and
-	// speeds, and resolution only rotates courses).
-	src broadphase.PairSource
+	// tab, when non-nil, prunes the pair scan to the candidate table
+	// the installed index built once for this launch sequence; every
+	// probe serves from it (candidate sets depend only on positions and
+	// speeds, and resolution only rotates courses). nil is the paper's
+	// all-pairs kernel.
 	tab *broadphase.PairTable
-
-	// candBufs are per-host-worker candidate buffers for the pruned
-	// scan, indexed by Thread.Worker.
-	candBufs []candBuf
 
 	// Aggregate task counters (atomic).
 	conflicts, rotations, resolvedCount, unresolvedCount, pairChecks int64
-}
-
-// candBuf is one worker's candidate buffer, padded so neighbouring
-// workers' slice headers don't share a cache line.
-type candBuf struct {
-	cand []int32
-	_    [40]byte
 }
 
 // grow returns s resized for len(int32 slices) n, reusing capacity.
@@ -118,7 +105,7 @@ type TrackResult struct {
 // steady-state period performs no per-launch allocations.
 type Engine struct {
 	dev   *Device
-	src   broadphase.PairSource
+	idx   broadphase.Index
 	state deviceState
 }
 
@@ -132,7 +119,6 @@ func (e *Engine) resetState(w *airspace.World, f *radar.Frame) *deviceState {
 		s.radarHits = growInt32(s.radarHits, f.N())
 		s.radarCand = growInt32(s.radarCand, f.N())
 	}
-	s.src = nil
 	s.tab = nil
 	s.conflicts, s.rotations, s.resolvedCount, s.unresolvedCount, s.pairChecks = 0, 0, 0, 0, 0
 	return s
@@ -147,11 +133,11 @@ func (e *Engine) Device() *Device { return e.dev }
 // Name returns the device name.
 func (e *Engine) Name() string { return e.dev.Profile.Name }
 
-// SetPairSource installs an opt-in broadphase pair source for the
-// collision kernels (nil restores the paper's all-pairs scan). The
-// modeled op counts then reflect the pruned pair enumeration plus an
-// index-build kernel per invocation.
-func (e *Engine) SetPairSource(src broadphase.PairSource) { e.src = src }
+// SetPairSource installs an opt-in broadphase index for the collision
+// kernels (nil restores the paper's all-pairs scan). The modeled op
+// counts then reflect the pruned pair enumeration plus an index-build
+// kernel per invocation.
+func (e *Engine) SetPairSource(idx broadphase.Index) { e.idx = idx }
 
 // SetWorkers pins the host worker count that executes kernel blocks
 // (n <= 0 restores the process-default pool). Modeled device time is a
@@ -411,9 +397,6 @@ func (e *Engine) prepareDetect(w *airspace.World, res *DetectResult) *deviceStat
 	s.newDX = growFloat64(s.newDX, n)
 	s.newDY = growFloat64(s.newDY, n)
 	s.resolved = growInt32(s.resolved, n)
-	if nw := e.dev.Workers(); len(s.candBufs) < nw {
-		s.candBufs = append(s.candBufs[:cap(s.candBufs)], make([]candBuf, nw-cap(s.candBufs))...)
-	}
 	ac := w.Aircraft
 	res.add(e.dev.Launch("snapshot", n, func(t *Thread) {
 		a := &ac[t.ID]
@@ -428,37 +411,13 @@ func (e *Engine) prepareDetect(w *airspace.World, res *DetectResult) *deviceStat
 		t.Ops(opsSnapshot)
 		t.Mem(aircraftRecordBytes)
 	}))
-	if e.src != nil {
-		// Host-side index build over the committed snapshot, modeled as
-		// one launch of per-aircraft insertion work. An incremental
-		// source builds straight from the snapshot columns and reports
-		// whether it repaired in place; only the span name changes —
-		// the modeled charge is identical in both modes, as the
-		// bit-identity contract requires.
-		name := "broadphase"
-		if m := broadphase.MaintainerOf(e.src); m != nil && m.Incremental() {
-			if cp, ok := m.(broadphase.ColumnsPreparer); ok {
-				cp.PrepareColumns(&s.snap)
-			} else {
-				e.src.Prepare(w)
-			}
-			if m.LastPrepareIncremental() {
-				name = "broadphase.update"
-			} else {
-				name = "broadphase.rebuild"
-			}
-		} else {
-			e.src.Prepare(w)
-		}
-		s.src = e.src
-		// A sharded source additionally materializes the candidate
-		// table on the host workers; the modeled charge is unchanged
-		// (the launch below), as bit-identity requires.
-		if ts := broadphase.TableOf(e.src); ts != nil {
-			ts.SetPool(parexec.Resolve(e.dev.pool))
-			s.tab = ts.PrepareTable()
-		}
-		res.add(e.dev.Launch(name, n, func(t *Thread) {
+	if e.idx != nil {
+		// Host-side index build over the committed snapshot on the host
+		// workers, modeled as one launch of per-aircraft insertion work.
+		// The charge depends only on an index being installed, never on
+		// how the index maintains itself.
+		s.tab = e.idx.Build(&s.snap, parexec.Resolve(e.dev.pool))
+		res.add(e.dev.Launch("broadphase", n, func(t *Thread) {
 			t.Ops(opsIndexBuild)
 			t.Mem(16)
 		}))
@@ -502,18 +461,12 @@ func (s *deviceState) scanOne(acc *scanAcc, i, p int, vx, vy float64) {
 //atm:allow atomic -- pairChecks is an order-independent sum read only after the launch barrier
 func (s *deviceState) scanSnapshot(t *Thread, i int, vx, vy float64) (earliest float64, with int32, critical bool) {
 	acc := scanAcc{earliest: airspace.SafeTime, with: airspace.NoConflict}
-	if s.src == nil {
+	if s.tab == nil {
 		for p := 0; p < s.snap.N(); p++ {
 			s.scanOne(&acc, i, p, vx, vy)
 		}
-	} else if s.tab != nil {
-		for _, p := range s.tab.Candidates(i) {
-			s.scanOne(&acc, i, int(p), vx, vy)
-		}
 	} else {
-		buf := &s.candBufs[t.Worker]
-		buf.cand = s.src.AppendCandidates(buf.cand[:0], s.w, &s.w.Aircraft[i])
-		for _, p := range buf.cand {
+		for _, p := range s.tab.Candidates(i) {
 			s.scanOne(&acc, i, int(p), vx, vy)
 		}
 	}

@@ -25,9 +25,9 @@ func NewPlatform(p Profile) *Platform {
 // Engine exposes the underlying kernel engine.
 func (p *Platform) Engine() *Engine { return p.eng }
 
-// SetPairSource installs a broadphase pair source on the engine (nil
+// SetPairSource installs a broadphase index on the engine (nil
 // restores the paper's all-pairs kernels).
-func (p *Platform) SetPairSource(src broadphase.PairSource) { p.eng.SetPairSource(src) }
+func (p *Platform) SetPairSource(idx broadphase.Index) { p.eng.SetPairSource(idx) }
 
 // SetWorkers pins the host worker count used to execute kernel blocks
 // (n <= 0 restores the process-default pool).

@@ -475,9 +475,9 @@ func BroadphaseTable(cfg Config) (*trace.Dataset, error) {
 		}
 		for _, n := range ns {
 			w := airspace.NewWorld(n, rng.New(cfg.Seed))
-			src := broadphase.MustNew(name)
+			det := tasks.NewDetector(broadphase.MustNew(name), nil)
 			start := time.Now()
-			st := tasks.DetectWith(w, src)
+			st := det.Detect(w)
 			wall := time.Since(start)
 			d.Add("pairs:"+name, float64(n), float64(st.PairChecks))
 			d.Add("ms:"+name, float64(n), wall.Seconds()*1000)
@@ -523,13 +523,14 @@ func HostPerfTable(cfg Config) (*trace.Dataset, error) {
 
 		for _, workers := range workerCounts {
 			pool := parexec.NewPool(workers)
+			det := tasks.NewDetector(nil, pool)
 			for _, bench := range []struct {
 				name string
 				run  func()
 			}{
 				{"correlate", func() { baseW.CloneInto(&w); baseF.CloneInto(&f); tasks.CorrelateNExec(&w, &f, tasks.BoxPasses, pool) }},
-				{"detect", func() { baseW.CloneInto(&w); tasks.DetectExec(&w, nil, pool) }},
-				{"detectresolve", func() { baseW.CloneInto(&w); tasks.DetectResolveExec(&w, nil, pool) }},
+				{"detect", func() { baseW.CloneInto(&w); det.Detect(&w) }},
+				{"detectresolve", func() { baseW.CloneInto(&w); det.DetectResolve(&w) }},
 			} {
 				bench.run() // warm the scratch pools and clone buffers
 				var ms runtime.MemStats
@@ -604,32 +605,27 @@ func sixteenthPeriodFits(name string, n int, cfg Config) bool {
 	return true
 }
 
-// CoherenceTable — the temporal-coherence ablation behind
+// CoherenceTable — the temporal-coherence profile behind
 // results/coherence.csv: host wall time of one fused Tasks 2+3 pass
-// with the sweep broad phase rebuilding from scratch every pass
-// ("rebuild") versus repairing the previous period's sorted order
-// ("incremental", the -coherent mode). Both lanes run the same world
-// through the same dead-reckoned motion, so the pair sets — and the
-// modeled device times — are bit-identical; the table measures only
-// what coherence buys the host.
-//
-// The motion axis matters: the m-series advance the world by m radar
-// periods between detection passes (m=1 is back-to-back detection,
-// m=16 is the real schedule's major cycle, m=64 is a stress case where
-// displacements approach the sort window). The incremental lane also
+// with the sweep broad phase repairing the previous pass's sorted order
+// in place, as the sweep always does. The m-series advance the world by
+// m radar periods between detection passes (m=1 is back-to-back
+// detection, m=16 is the real schedule's major cycle, m=64 is a stress
+// case where displacements approach the sort window). Each point also
 // reports how many aircraft actually moved in the sorted order per
-// repair ("moved:mN"), the quantity the insertion-sort budget is
-// keyed to.
+// repair ("moved:mN"), the quantity the insertion-sort budget is keyed
+// to, and how many builds fell back to a full sort ("fallbacks:mN").
 //
 // Wall times are host measurements and vary run to run; the moved
-// counts are exact and reproducible.
+// counts are exact and reproducible, and the allocation counts are
+// zero: the detector and the index own all of their scratch.
 //
 // This experiment is not part of atmbench's default run; invoke it
 // with -table coherence.
 func CoherenceTable(cfg Config) (*trace.Dataset, error) {
 	d := &trace.Dataset{
 		ID:     "coherence",
-		Title:  "Temporal coherence: rebuild vs incremental sweep, wall ms per detection pass",
+		Title:  "Temporal coherence: repaired sweep, wall ms per detection pass",
 		XLabel: "aircraft",
 		YLabel: "value",
 	}
@@ -643,61 +639,51 @@ func CoherenceTable(cfg Config) (*trace.Dataset, error) {
 	pool := parexec.NewPool(1)
 	for _, n := range ns {
 		for _, periods := range motions {
-			for _, mode := range []struct {
-				name string
-				src  broadphase.PairSource
-			}{
-				{"rebuild", broadphase.MustNew(broadphase.SweepName)},
-				{"incremental", broadphase.NewIncrementalSweep()},
-			} {
-				w := airspace.NewWorld(n, rng.New(cfg.Seed))
-				tasks.DetectResolveExec(w, mode.src, pool) // warm scratch + seed the sorted order
-				if m := broadphase.MaintainerOf(mode.src); m != nil {
-					m.TakeUpdateStats() // exclude the warm-up rebuild from the stats
-				}
-				var ms runtime.MemStats
-				runtime.ReadMemStats(&ms)
-				mallocs := ms.Mallocs
-				var wall time.Duration
-				for it := 0; it < iters; it++ {
-					for p := 0; p < periods; p++ {
-						for i := range w.Aircraft {
-							a := &w.Aircraft[i]
-							a.X += a.DX
-							a.Y += a.DY
-							airspace.Wrap(a)
-						}
+			sweep := broadphase.NewSweep()
+			det := tasks.NewDetector(sweep, pool)
+			w := airspace.NewWorld(n, rng.New(cfg.Seed))
+			det.DetectResolve(w) // warm scratch + seed the sorted order
+			sweep.TakeStats()    // exclude the warm-up rebuild from the stats
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			mallocs := ms.Mallocs
+			var wall time.Duration
+			for it := 0; it < iters; it++ {
+				for p := 0; p < periods; p++ {
+					for i := range w.Aircraft {
+						a := &w.Aircraft[i]
+						a.X += a.DX
+						a.Y += a.DY
+						airspace.Wrap(a)
 					}
-					start := time.Now()
-					tasks.DetectResolveExec(w, mode.src, pool)
-					wall += time.Since(start)
 				}
-				runtime.ReadMemStats(&ms)
-				tag := fmt.Sprintf("%s:m%d", mode.name, periods)
-				d.Add("ms:"+tag, float64(n), wall.Seconds()*1000/float64(iters))
-				d.Add("allocs:"+tag, float64(n), float64(ms.Mallocs-mallocs)/float64(iters))
-				if m := broadphase.MaintainerOf(mode.src); m != nil && m.Incremental() {
-					st := m.TakeUpdateStats()
-					if reps := st.Updates + st.Rebuilds; reps > 0 {
-						d.Add(fmt.Sprintf("moved:m%d", periods), float64(n), float64(st.Moved)/float64(reps))
-					}
-					d.Add(fmt.Sprintf("fallbacks:m%d", periods), float64(n), float64(st.Rebuilds))
-				}
+				start := time.Now()
+				det.DetectResolve(w)
+				wall += time.Since(start)
 			}
+			runtime.ReadMemStats(&ms)
+			tag := fmt.Sprintf("m%d", periods)
+			d.Add("ms:"+tag, float64(n), wall.Seconds()*1000/float64(iters))
+			d.Add("allocs:"+tag, float64(n), float64(ms.Mallocs-mallocs)/float64(iters))
+			st := sweep.TakeStats()
+			if reps := st.Updates + st.Rebuilds; reps > 0 {
+				d.Add("moved:"+tag, float64(n), float64(st.Moved)/float64(reps))
+			}
+			d.Add("fallbacks:"+tag, float64(n), float64(st.Rebuilds))
 		}
 	}
 	return d, nil
 }
 
-// ParShardTable — the worker-parallel broad-phase ablation behind
-// results/parshard.csv: host wall time of one fused Tasks 2+3 pass with
-// the sharded table mode (-parshard: worker-parallel table build plus
-// the branch-free batched pair kernel) across aircraft counts, worker
-// counts and coherence modes. Results are bit-identical to the scalar
-// sweep in every cell (see the conformance matrix); the table measures
-// only what the mode buys the host, alongside the shard telemetry —
-// table-build segments and batched-kernel iterations per pass, both of
-// which are exact, reproducible, and identical at every worker count.
+// ParShardTable — the worker-parallel broad-phase profile behind
+// results/parshard.csv: host wall time of one fused Tasks 2+3 pass —
+// the sweep's worker-parallel table build plus the branch-free batched
+// pair kernel — across aircraft counts and worker counts, alongside
+// the table-build segments and batched-kernel iterations per pass,
+// both of which are exact, reproducible, and identical at every worker
+// count. Results are bit-identical at every worker count (see the
+// conformance matrix); the table measures only what the workers buy
+// the host.
 //
 // Wall times are host measurements and vary run to run (and worker
 // counts above the host's core count buy nothing); the segment and
@@ -720,34 +706,29 @@ func ParShardTable(cfg Config) (*trace.Dataset, error) {
 	}
 	for _, n := range ns {
 		for _, workers := range []int{1, 8} {
-			pool := parexec.NewPool(workers)
-			for _, coh := range []bool{false, true} {
-				src := broadphase.NewShardedSweep(coh)
-				w := airspace.NewWorld(n, rng.New(cfg.Seed))
-				tasks.DetectResolveExec(w, src, pool) // warm scratch, table and sorted order
-				src.TakeShardStats()                  // exclude the warm-up pass from the counters
-				var wall time.Duration
-				for it := 0; it < iters; it++ {
-					for i := range w.Aircraft {
-						a := &w.Aircraft[i]
-						a.X += a.DX
-						a.Y += a.DY
-						airspace.Wrap(a)
-					}
-					start := time.Now()
-					tasks.DetectResolveExec(w, src, pool)
-					wall += time.Since(start)
+			sweep := broadphase.NewSweep()
+			det := tasks.NewDetector(sweep, parexec.NewPool(workers))
+			w := airspace.NewWorld(n, rng.New(cfg.Seed))
+			det.DetectResolve(w) // warm scratch, table and sorted order
+			sweep.TakeStats()    // exclude the warm-up pass from the counters
+			det.TakeBatches()
+			var wall time.Duration
+			for it := 0; it < iters; it++ {
+				for i := range w.Aircraft {
+					a := &w.Aircraft[i]
+					a.X += a.DX
+					a.Y += a.DY
+					airspace.Wrap(a)
 				}
-				segments, batches := src.TakeShardStats()
-				mode := "rebuild"
-				if coh {
-					mode = "coherent"
-				}
-				tag := fmt.Sprintf("%s:w%d", mode, workers)
-				d.Add("ms:"+tag, float64(n), wall.Seconds()*1000/float64(iters))
-				d.Add("segments:"+tag, float64(n), float64(segments)/float64(iters))
-				d.Add("batches:"+tag, float64(n), float64(batches)/float64(iters))
+				start := time.Now()
+				det.DetectResolve(w)
+				wall += time.Since(start)
 			}
+			segments, batches := sweep.TakeStats().Segments, det.TakeBatches()
+			tag := fmt.Sprintf("w%d", workers)
+			d.Add("ms:"+tag, float64(n), wall.Seconds()*1000/float64(iters))
+			d.Add("segments:"+tag, float64(n), float64(segments)/float64(iters))
+			d.Add("batches:"+tag, float64(n), float64(batches)/float64(iters))
 		}
 	}
 	return d, nil

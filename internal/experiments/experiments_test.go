@@ -375,17 +375,13 @@ func TestCoherenceTable(t *testing.T) {
 	if d.ID != "coherence" {
 		t.Fatalf("dataset id %q", d.ID)
 	}
-	// Both lanes report wall times at every sweep point, and the
-	// incremental lane's repair statistics come with them. Wall times
-	// are host noise, so the test asserts shape, not speedups.
+	// Every motion reports wall times at every sweep point, and the
+	// repair statistics come with them. Wall times are host noise, so
+	// the test asserts shape, not speedups.
 	for _, m := range []string{"m1", "m16", "m64"} {
-		reb := d.Get("ms:rebuild:" + m)
-		inc := d.Get("ms:incremental:" + m)
-		if reb == nil || inc == nil {
+		ms := d.Get("ms:" + m)
+		if ms == nil || len(ms.Points) == 0 {
 			t.Fatalf("missing wall-time series for %s: %+v", m, d.Series)
-		}
-		if len(reb.Points) != len(inc.Points) || len(reb.Points) == 0 {
-			t.Fatalf("%s: rebuild has %d points, incremental %d", m, len(reb.Points), len(inc.Points))
 		}
 		if fb := d.Get("fallbacks:" + m); fb == nil {
 			t.Fatalf("missing fallbacks series for %s", m)
@@ -404,7 +400,7 @@ func TestCoherenceTable(t *testing.T) {
 			}
 		}
 	}
-	// Steady-state passes allocate nothing in either lane.
+	// Steady-state passes allocate nothing.
 	for _, s := range d.Series {
 		if len(s.Label) > 6 && s.Label[:6] == "allocs" {
 			for _, p := range s.Points {
@@ -424,37 +420,34 @@ func TestParShardTable(t *testing.T) {
 	if d.ID != "parshard" {
 		t.Fatalf("dataset id %q", d.ID)
 	}
-	// Every (mode, workers) cell reports wall times plus the shard
-	// counters. Wall times are host noise, so the test asserts shape —
-	// and the worker-invariance of the counters, which are exact.
-	for _, mode := range []string{"rebuild", "coherent"} {
-		var seg1, bat1 *trace.Series
-		for _, w := range []string{"w1", "w8"} {
-			tag := mode + ":" + w
-			ms := d.Get("ms:" + tag)
-			if ms == nil || len(ms.Points) == 0 {
-				t.Fatalf("missing wall-time series for %s: %+v", tag, d.Series)
+	// Every worker count reports wall times plus the shard counters.
+	// Wall times are host noise, so the test asserts shape — and the
+	// worker-invariance of the counters, which are exact.
+	var seg1, bat1 *trace.Series
+	for _, w := range []string{"w1", "w8"} {
+		ms := d.Get("ms:" + w)
+		if ms == nil || len(ms.Points) == 0 {
+			t.Fatalf("missing wall-time series for %s: %+v", w, d.Series)
+		}
+		seg := d.Get("segments:" + w)
+		bat := d.Get("batches:" + w)
+		if seg == nil || bat == nil {
+			t.Fatalf("missing shard-counter series for %s", w)
+		}
+		for i := range seg.Points {
+			if seg.Points[i].Y <= 0 || bat.Points[i].Y <= 0 {
+				t.Errorf("%s at n=%v: segments %v batches %v, want positive",
+					w, seg.Points[i].X, seg.Points[i].Y, bat.Points[i].Y)
 			}
-			seg := d.Get("segments:" + tag)
-			bat := d.Get("batches:" + tag)
-			if seg == nil || bat == nil {
-				t.Fatalf("missing shard-counter series for %s", tag)
-			}
-			for i := range seg.Points {
-				if seg.Points[i].Y <= 0 || bat.Points[i].Y <= 0 {
-					t.Errorf("%s at n=%v: segments %v batches %v, want positive",
-						tag, seg.Points[i].X, seg.Points[i].Y, bat.Points[i].Y)
-				}
-			}
-			if w == "w1" {
-				seg1, bat1 = seg, bat
-				continue
-			}
-			for i := range seg.Points {
-				if seg.Points[i].Y != seg1.Points[i].Y || bat.Points[i].Y != bat1.Points[i].Y {
-					t.Errorf("%s at n=%v: counters diverge from w1 (segments %v vs %v, batches %v vs %v)",
-						tag, seg.Points[i].X, seg.Points[i].Y, seg1.Points[i].Y, bat.Points[i].Y, bat1.Points[i].Y)
-				}
+		}
+		if w == "w1" {
+			seg1, bat1 = seg, bat
+			continue
+		}
+		for i := range seg.Points {
+			if seg.Points[i].Y != seg1.Points[i].Y || bat.Points[i].Y != bat1.Points[i].Y {
+				t.Errorf("%s at n=%v: counters diverge from w1 (segments %v vs %v, batches %v vs %v)",
+					w, seg.Points[i].X, seg.Points[i].Y, seg1.Points[i].Y, bat.Points[i].Y, bat1.Points[i].Y)
 			}
 		}
 	}

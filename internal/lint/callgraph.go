@@ -98,8 +98,8 @@ type Node struct {
 func (n *Node) External() bool { return n.Pkg == nil }
 
 // Name returns the stable, package-qualified display name:
-// "repro/internal/tasks.scanPairInto", "(*repro/internal/broadphase.Sweep).Detect",
-// "repro/internal/tasks.scanPar.func1" for literals.
+// "repro/internal/tasks.scanTableBatch", "(*repro/internal/broadphase.Sweep).Build",
+// "repro/internal/tasks.correlateParallel.func1" for literals.
 func (n *Node) Name() string { return n.name }
 
 // A Graph is the whole-module static call graph.

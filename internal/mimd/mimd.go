@@ -91,7 +91,7 @@ var Xeon16 = Profile{
 type Machine struct {
 	prof   Profile
 	jitter *rng.Rand
-	src    broadphase.PairSource
+	idx    broadphase.Index
 	pool   *parexec.Pool
 	scr    scratch
 
@@ -143,15 +143,6 @@ type scratch struct {
 	snap         airspace.Columns
 	newDX, newDY []float64
 	resolved     []bool
-
-	bufs []candBuf
-}
-
-// candBuf is one modeled core's candidate buffer for the pruned scan,
-// padded against false sharing of the slice headers.
-type candBuf struct {
-	cand []int32
-	_    [40]byte
 }
 
 func growF(s []float64, n int) []float64 {
@@ -173,11 +164,11 @@ func New(p Profile, seed uint64) *Machine {
 // Name returns the machine name.
 func (m *Machine) Name() string { return m.prof.Name }
 
-// SetPairSource installs a broadphase pair source for the Tasks 2-3
-// scan (nil restores the all-pairs scan). A shared-memory multicore is
-// the natural home for pruning: the index lives in the same shared
-// memory the workers already scan.
-func (m *Machine) SetPairSource(src broadphase.PairSource) { m.src = src }
+// SetPairSource installs a broadphase index for the Tasks 2-3 scan
+// (nil restores the all-pairs scan). A shared-memory multicore is the
+// natural home for pruning: the index lives in the same shared memory
+// the workers already scan.
+func (m *Machine) SetPairSource(idx broadphase.Index) { m.idx = idx }
 
 // SetWorkers pins the host worker count that executes the modeled
 // cores (n <= 0 restores the process-default pool). Host workers only
@@ -286,8 +277,8 @@ const (
 	opsWrap      = 6
 	opsPairCheck = 40
 	opsRotate    = 14
-	// opsIndexBuild is charged per aircraft when a broadphase pair
-	// source builds its index (envelope computation plus insertion).
+	// opsIndexBuild is charged per aircraft when a broadphase index is
+	// built (envelope computation plus insertion).
 	opsIndexBuild = 12
 )
 
@@ -494,9 +485,6 @@ func (m *Machine) DetectResolve(w *airspace.World) (tasks.DetectStats, time.Dura
 	if cap(scr.resolved) < n {
 		scr.resolved = make([]bool, n)
 	}
-	if len(scr.bufs) < m.prof.Cores {
-		scr.bufs = make([]candBuf, m.prof.Cores)
-	}
 	snapX, snapY := scr.snap.X, scr.snap.Y
 	snapDX, snapDY := scr.snap.DX, scr.snap.DY
 	snapAlt := scr.snap.Alt
@@ -519,44 +507,18 @@ func (m *Machine) DetectResolve(w *airspace.World) (tasks.DetectStats, time.Dura
 	})
 	m.markPhase(tally, "snapshot", 0)
 
-	// Broadphase index build: single-threaded host-side preparation,
-	// charged as one extra phase of per-aircraft work. The snapshot is
-	// already committed, and courses only rotate (same speed) during
-	// resolution, so the index stays valid for the whole task.
-	if m.src != nil {
-		// An incremental source builds straight from the snapshot
-		// columns; only the phase mark's name changes between update and
-		// rebuild — the charge is identical, as bit-identity requires.
-		name := "index"
-		if im := broadphase.MaintainerOf(m.src); im != nil && im.Incremental() {
-			if cp, ok := im.(broadphase.ColumnsPreparer); ok {
-				cp.PrepareColumns(&scr.snap)
-			} else {
-				m.src.Prepare(w)
-			}
-			if im.LastPrepareIncremental() {
-				name = "index.update"
-			} else {
-				name = "index.rebuild"
-			}
-		} else {
-			m.src.Prepare(w)
-		}
+	// Broadphase index build over the committed snapshot, on the host
+	// pool, charged as one extra phase of per-aircraft work whatever the
+	// index. Courses only rotate (same speed) during resolution, so the
+	// table stays valid for the whole task; nil is the all-pairs scan.
+	var tab *broadphase.PairTable
+	if m.idx != nil {
+		tab = m.idx.Build(&scr.snap, parexec.Resolve(m.pool))
 		phases++
 		m.parallel(n, func(core, lo, hi int) {
 			tally.ops[core] += uint64(hi-lo) * opsIndexBuild
 		})
-		m.markPhase(tally, name, 0)
-	}
-
-	// A sharded source additionally materializes the candidate table on
-	// the host pool; scans then serve from it bit-identically (candidate
-	// sets depend only on positions and speeds, which resolution's
-	// rotations preserve), with the same modeled charge.
-	var tab *broadphase.PairTable
-	if ts := broadphase.TableOf(m.src); ts != nil {
-		ts.SetPool(parexec.Resolve(m.pool))
-		tab = ts.PrepareTable()
+		m.markPhase(tally, "index", 0)
 	}
 
 	var conflicts, rotations, resolvedCount, unresolvedCount, pairChecks uint64
@@ -574,22 +536,16 @@ func (m *Machine) DetectResolve(w *airspace.World) (tasks.DetectStats, time.Dura
 			*with = int32(p)
 		}
 	}
-	scan := func(core, i int, vx, vy float64, ops *uint64) (earliest float64, with int32, critical bool) {
+	scan := func(i int, vx, vy float64, ops *uint64) (earliest float64, with int32, critical bool) {
 		earliest = airspace.SafeTime
 		with = airspace.NoConflict
 		checks := uint64(0)
-		if m.src == nil {
+		if tab == nil {
 			for p := 0; p < n; p++ {
 				scanOne(i, p, vx, vy, &checks, ops, &earliest, &with)
 			}
-		} else if tab != nil {
-			for _, p := range tab.Candidates(i) {
-				scanOne(i, int(p), vx, vy, &checks, ops, &earliest, &with)
-			}
 		} else {
-			buf := &scr.bufs[core]
-			buf.cand = m.src.AppendCandidates(buf.cand[:0], w, &ac[i])
-			for _, p := range buf.cand {
+			for _, p := range tab.Candidates(i) {
 				scanOne(i, int(p), vx, vy, &checks, ops, &earliest, &with)
 			}
 		}
@@ -604,7 +560,7 @@ func (m *Machine) DetectResolve(w *airspace.World) (tasks.DetectStats, time.Dura
 		for i := lo; i < hi; i++ {
 			a := &ac[i]
 			a.ResetConflict()
-			tmin, with, critical := scan(core, i, snapDX[i], snapDY[i], &ops)
+			tmin, with, critical := scan(i, snapDX[i], snapDY[i], &ops)
 			if !critical {
 				continue
 			}
@@ -619,7 +575,7 @@ func (m *Machine) DetectResolve(w *airspace.World) (tasks.DetectStats, time.Dura
 				ops += opsRotate
 				v := base.Rotate(deg)
 				a.BatX, a.BatY = v.X, v.Y
-				tmin, with, critical = scan(core, i, v.X, v.Y, &ops)
+				tmin, with, critical = scan(i, v.X, v.Y, &ops)
 				if !critical {
 					newDX[i], newDY[i] = v.X, v.Y
 					resolved[i] = true

@@ -24,9 +24,9 @@ func NewPlatform(p Profile, seed uint64) *Platform {
 // Machine exposes the underlying multicore machine.
 func (p *Platform) Machine() *Machine { return p.m }
 
-// SetPairSource installs a broadphase pair source on the machine (nil
+// SetPairSource installs a broadphase index on the machine (nil
 // restores the all-pairs scan).
-func (p *Platform) SetPairSource(src broadphase.PairSource) { p.m.SetPairSource(src) }
+func (p *Platform) SetPairSource(idx broadphase.Index) { p.m.SetPairSource(idx) }
 
 // SetWorkers pins the host worker count used to execute the modeled
 // cores (n <= 0 restores the process-default pool).

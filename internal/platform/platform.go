@@ -37,10 +37,10 @@ type Platform interface {
 }
 
 // PairSourced is implemented by platforms whose Tasks 2-3 scan can be
-// driven by a broadphase pair source instead of the paper's all-pairs
-// kernel. Passing nil restores the all-pairs behaviour.
+// driven by a broadphase index's candidate table instead of the paper's
+// all-pairs kernel. Passing nil restores the all-pairs behaviour.
 type PairSourced interface {
-	SetPairSource(src broadphase.PairSource)
+	SetPairSource(idx broadphase.Index)
 }
 
 // Workered is implemented by platforms whose host execution can be

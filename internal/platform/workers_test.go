@@ -48,18 +48,11 @@ func TestWorkersInvariance(t *testing.T) {
 		if name == Xeon16 {
 			trackW, trackF = clean, cleanF
 		}
-		// "incremental-sweep" is the sweep source in temporal-coherence
-		// mode (not a registry name); each run constructs its own source,
-		// so the incremental lane exercises the first-Prepare rebuild.
-		for _, srcName := range []string{"", broadphase.GridName, broadphase.SweepName, "incremental-sweep"} {
+		for _, srcName := range append([]string{""}, broadphase.Names()...) {
 			run := func(workers int) outcome {
 				p := MustNew(name, 77)
 				p.(Workered).SetWorkers(workers)
-				switch srcName {
-				case "":
-				case "incremental-sweep":
-					p.(PairSourced).SetPairSource(broadphase.NewIncrementalSweep())
-				default:
+				if srcName != "" {
 					p.(PairSourced).SetPairSource(broadphase.MustNew(srcName))
 				}
 				var o outcome

@@ -42,16 +42,6 @@ type RunRequest struct {
 	// source ("brute", "grid", "sweep"); empty keeps the paper's
 	// all-pairs kernels.
 	PairSource string `json:"pair_source,omitempty"`
-	// Coherent turns on the temporal-coherence incremental broad phase
-	// (needs a pair source). Results are bit-identical to the rebuild
-	// mode — the flag is still part of the run identity because it
-	// changes the telemetry export (span names, maintenance counters).
-	Coherent bool `json:"coherent,omitempty"`
-	// ParShard turns on the worker-parallel sharded broad phase with the
-	// batched pair kernel (needs a pair source). Results are
-	// bit-identical; the flag is part of the run identity because it
-	// changes the telemetry export (shard counters, parshard meta).
-	ParShard bool `json:"parshard,omitempty"`
 	// Scenario selects the traffic workload as a scenario spec string
 	// ("circle:radius=50", see internal/scenario); empty keeps the
 	// paper's uniform setup.
@@ -74,8 +64,6 @@ type RunConfig struct {
 	Seed       uint64 `json:"seed"`
 	Periods    int    `json:"periods"`
 	PairSource string `json:"pair_source,omitempty"`
-	Coherent   bool   `json:"coherent,omitempty"`
-	ParShard   bool   `json:"parshard,omitempty"`
 	Scenario   string `json:"scenario,omitempty"`
 	Detail     string `json:"detail"`
 	Telemetry  string `json:"telemetry,omitempty"`
@@ -91,8 +79,6 @@ func (r RunRequest) Canonicalize() (RunConfig, error) {
 		Seed:       r.Seed,
 		Periods:    r.Periods,
 		PairSource: r.PairSource,
-		Coherent:   r.Coherent,
-		ParShard:   r.ParShard,
 		Scenario:   r.Scenario,
 		Detail:     r.Detail,
 		Telemetry:  r.Telemetry,
@@ -118,8 +104,6 @@ func (r RunRequest) Canonicalize() (RunConfig, error) {
 		Periods:    cfg.Periods,
 		Workers:    0, // host workers are a server setting, not part of the run identity
 		PairSource: cfg.PairSource,
-		Coherent:   cfg.Coherent,
-		ParShard:   cfg.ParShard,
 		Scenario:   cfg.Scenario,
 	}
 	if err := params.Validate(); err != nil {
@@ -149,8 +133,8 @@ func (r RunRequest) Canonicalize() (RunConfig, error) {
 // (worker count, queue position, cache state) are deliberately absent:
 // they change wall-clock speed only, never the answer.
 func (c RunConfig) Key() string {
-	return fmt.Sprintf("platform=%s&n=%d&seed=%d&periods=%d&pairsource=%s&coherent=%t&parshard=%t&scenario=%s&detail=%s&telemetry=%s",
-		c.Platform, c.N, c.Seed, c.Periods, c.PairSource, c.Coherent, c.ParShard, c.Scenario, c.Detail, c.Telemetry)
+	return fmt.Sprintf("platform=%s&n=%d&seed=%d&periods=%d&pairsource=%s&scenario=%s&detail=%s&telemetry=%s",
+		c.Platform, c.N, c.Seed, c.Periods, c.PairSource, c.Scenario, c.Detail, c.Telemetry)
 }
 
 // Hash returns the short content hash of the canonical key, used as
@@ -182,9 +166,24 @@ func parseRequest(r *http.Request) (RunRequest, error) {
 	}
 }
 
-// requestFromQuery builds a RunRequest from URL query parameters; both
-// pair_source and pairsource are accepted for curl convenience.
+// queryParams lists the query parameters a GET request may carry: the
+// RunRequest fields, plus pairsource as a curl-friendly spelling of
+// pair_source.
+var queryParams = map[string]bool{
+	"platform": true, "n": true, "seed": true, "periods": true,
+	"pair_source": true, "pairsource": true,
+	"scenario": true, "detail": true, "telemetry": true,
+}
+
+// requestFromQuery builds a RunRequest from URL query parameters. An
+// unknown parameter is an error, as an unknown JSON field is for POST:
+// a misspelt knob must not silently run — and cache — the default.
 func requestFromQuery(q url.Values) (RunRequest, error) {
+	for name := range q {
+		if !queryParams[name] {
+			return RunRequest{}, &core.ValidationError{Msg: fmt.Sprintf("unknown query parameter %q", name)}
+		}
+	}
 	req := RunRequest{
 		Platform:   q.Get("platform"),
 		PairSource: q.Get("pair_source"),
@@ -194,20 +193,6 @@ func requestFromQuery(q url.Values) (RunRequest, error) {
 	}
 	if req.PairSource == "" {
 		req.PairSource = q.Get("pairsource")
-	}
-	if s := q.Get("coherent"); s != "" {
-		v, err := strconv.ParseBool(s)
-		if err != nil {
-			return RunRequest{}, &core.ValidationError{Msg: fmt.Sprintf("bad coherent %q: %v", s, err)}
-		}
-		req.Coherent = v
-	}
-	if s := q.Get("parshard"); s != "" {
-		v, err := strconv.ParseBool(s)
-		if err != nil {
-			return RunRequest{}, &core.ValidationError{Msg: fmt.Sprintf("bad parshard %q: %v", s, err)}
-		}
-		req.ParShard = v
 	}
 	var err error
 	if req.N, err = intParam(q, "n"); err != nil {

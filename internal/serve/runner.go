@@ -73,7 +73,7 @@ func newRunner(workers int, pub *live.Publisher) Runner {
 				wp.SetWorkers(workers)
 			}
 		}
-		sys := core.NewSystem(p, core.Config{N: cfg.N, Seed: cfg.Seed, Scenario: cfg.Scenario, PairSource: cfg.PairSource, Incremental: cfg.Coherent, ParShard: cfg.ParShard})
+		sys := core.NewSystem(p, core.Config{N: cfg.N, Seed: cfg.Seed, Scenario: cfg.Scenario, PairSource: cfg.PairSource})
 		rec := telemetry.NewRecorder(telemetry.DefaultCapacity)
 		if cfg.Detail == "block" {
 			rec.SetDetail(telemetry.DetailBlock)

@@ -309,6 +309,9 @@ func TestValidationErrors(t *testing.T) {
 		{"bad scenario value", "/v1/simulate?platform=titanx&n=100&scenario=circle:radius=-4"},
 		{"malformed scenario", "/v1/simulate?platform=titanx&n=100&scenario=circle:radius"},
 		{"scenario over capacity", "/v1/simulate?platform=titanx&n=30000&scenario=streams"},
+		{"removed coherent knob", "/v1/simulate?platform=titanx&n=100&pairsource=sweep&coherent=true"},
+		{"removed parshard knob", "/v1/simulate?platform=titanx&n=100&pairsource=sweep&parshard=true"},
+		{"misspelt parameter", "/v1/simulate?platform=titanx&n=100&seeed=3"},
 	}
 	for _, tc := range cases {
 		resp, body := get(t, ts.URL+tc.query)

@@ -1,29 +1,52 @@
-// Sharded (table-mode) execution of Detect/DetectResolve: the
-// worker-parallel broad phase feeding the branch-free batched pair
-// kernel.
+// The executable fused Task 2+3 path: the broad-phase candidate table
+// feeding the branch-free batched pair kernel, host-parallel on the
+// parexec engine. tasks.go holds the serial all-pairs specification it
+// reproduces bit for bit, at every worker count and for every index.
 //
-// The control flow mirrors soa.go statement for statement; two things
-// change, both bit-identical to the column path:
+// Candidates come from the broadphase.PairTable the index builds once
+// per invocation; with no index (or the brute oracle, whose table is
+// nil) every track's candidates are the identity list — every
+// aircraft, in index order. Reuse is exact: a track's candidate set
+// depends only on positions and speeds, heading commits preserve
+// speed, and the index is never rebuilt within an invocation, so every
+// rotation probe and every dirty-replay rescan reads the same row.
 //
-//   - Candidates come from a broadphase.PairTable the source builds
-//     once per invocation with a worker-parallel walk of its sorted
-//     order, instead of a bitmap query per scan. Reuse is exact: a
-//     track's candidate set depends only on positions and speeds,
-//     heading commits preserve speed, and the index is never
-//     re-prepared within an invocation, so every rotation probe and
-//     every dirty-replay rescan reads exactly the slice a fresh
-//     AppendCandidates call would emit.
+// The pair loop is scanTableBatch: a compaction pass applies the
+// self-skip and altitude filters, then the survivors are evaluated in
+// unrolled blocks of 8 with branch-free min/max time-band intersection.
+// The equivalence argument is spelled out at the kernel. Every value
+// the kernel reads comes from an airspace.Columns snapshot filled at
+// invocation start and updated in lockstep with every heading commit,
+// so each comparison evaluates on exactly the float64 the record-based
+// specification reads. The self-skip compares indices where the
+// specification compares IDs; these are equivalent by the ID==index
+// invariant (SetupFlight assigns ID = index and no task reassigns it).
 //
-//   - The pair loop is scanTableBatch: a compaction pass applies the
-//     self-skip and altitude filters, then the survivors are evaluated
-//     in unrolled blocks of 8 with branch-free min/max time-band
-//     intersection. The equivalence argument is spelled out at the
-//     kernel.
+// Parallelism changes the wall clock only. The construction is phased:
+//
+//   - Detect: the scan reads only positions, velocities and altitudes,
+//     while Detect mutates only the conflict fields. Every per-track
+//     scan is independent, so the scans run concurrently and a serial
+//     replay applies ResetConflict/MarkConflict in index order.
+//
+//   - DetectResolve: the only cross-track dependency is a committed
+//     heading change by an earlier-index aircraft. The parallel phase
+//     scans every track against the pre-resolution velocity snapshot;
+//     the serial replay keeps the list of aircraft whose heading was
+//     committed ("dirty") and rescans a track only when a dirty
+//     aircraft could influence it — decided by the broadphase
+//     reach-envelope test, which is exact for any heading at a given
+//     speed (see package broadphase), and rotation preserves speed. A
+//     pair outside each other's envelopes contributes no conflict with
+//     tmin below CriticalTime under the old or the new heading, and
+//     the scan's strict-< fold ignores such pairs entirely, so the
+//     precomputed result is already the one the specification
+//     computes. With one worker the specification's in-place order
+//     runs directly.
 //
 // Every scan — scan phase, probes, rescans — is one kernel call over
-// the track's full candidate slice in every discipline and at every
-// worker count, so the drained batch counter is as worker-invariant as
-// the results themselves.
+// the track's full candidate row, so the batch counter is as
+// worker-invariant as the results themselves.
 package tasks
 
 import (
@@ -32,6 +55,70 @@ import (
 	"repro/internal/geom"
 	"repro/internal/parexec"
 )
+
+// scanGrain is the work-queue grain of the parallel scan phase: small
+// index ranges keep every worker busy despite skewed candidate counts.
+const scanGrain = 32
+
+// rotationSchedule is RotationSchedule computed once: the schedule is
+// probed for every conflicted aircraft and must not allocate per use.
+var rotationSchedule = RotationSchedule()
+
+// scanResult is one track's scan outcome: the earliest conflict start,
+// the partner that achieved it (first-wins on ties), the number of pair
+// checks performed, and the number of 8-wide batch iterations executed
+// (tail included).
+type scanResult struct {
+	tmin    float64
+	with    int32
+	checks  int32
+	batches int32
+}
+
+// workerBuf is one worker's index buffer (the kernel's compaction
+// buffer, Task 1's candidate lists), padded so neighbouring workers'
+// slice headers don't share a cache line.
+type workerBuf struct {
+	cand []int32
+	_    [40]byte
+}
+
+// Detector runs the fused Task 2+3 pass (and Task 2 alone) through
+// one index on one engine pool, and owns every piece of scratch a pass
+// needs: the column snapshot, the identity candidate list, per-track
+// results and envelopes, the dirty list and one compaction buffer per
+// worker. Build it once and keep it across passes — the index's
+// persistent state (the sweep's sorted order) and the scratch then
+// carry over, and a steady-state pass allocates nothing. A Detector is
+// not safe for concurrent use.
+type Detector struct {
+	idx     broadphase.Index
+	pool    *parexec.Pool
+	cols    airspace.Columns
+	all     []int32
+	res     []scanResult
+	reach   []float64
+	dirty   []int32
+	keep    []workerBuf
+	job     tableScanJob
+	batches int64
+}
+
+// NewDetector returns a detector scanning the candidate table of idx
+// (nil: every aircraft, the paper's all-pairs kernel) on pool (nil:
+// the process default at each pass).
+func NewDetector(idx broadphase.Index, pool *parexec.Pool) *Detector {
+	return &Detector{idx: idx, pool: pool}
+}
+
+// TakeBatches returns the batched-kernel iterations executed since the
+// last call and resets the count. Like every counter here it is
+// identical at every worker count.
+func (d *Detector) TakeBatches() int64 {
+	b := d.batches
+	d.batches = 0
+	return b
+}
 
 // kernelBatch is the batched kernel's block width: 8 candidate pairs
 // per unrolled iteration, the natural SIMD shape for float64 lanes.
@@ -148,201 +235,246 @@ func scanTableBatch(c *airspace.Columns, keep []int32, ti int, tx, ty, vx, vy, t
 	return keep
 }
 
-// scanTableOne runs one full scan of the track at index ti with probe
-// velocity (vx, vy), serving candidates from the table. Probe scans are
-// deliberately never fanned out: table candidate sets are short (the
-// broad phase has already pruned), so one kernel call is both the fast
-// path and the reason the batch tally cannot depend on worker count.
+// prepare refreshes the column snapshot, builds the index's table and
+// sizes the scratch for w on p. A nil table means all pairs.
+func (d *Detector) prepare(w *airspace.World, p *parexec.Pool) *broadphase.PairTable {
+	n := w.N()
+	d.cols.FillFrom(w)
+	var tab *broadphase.PairTable
+	if d.idx != nil {
+		tab = d.idx.Build(&d.cols, p)
+	}
+	if tab == nil && len(d.all) != n {
+		if cap(d.all) < n {
+			d.all = make([]int32, n)
+		}
+		d.all = d.all[:n]
+		for i := range d.all {
+			d.all[i] = int32(i)
+		}
+	}
+	if cap(d.res) < n {
+		d.res = make([]scanResult, n)
+		d.reach = make([]float64, n)
+	}
+	d.res, d.reach = d.res[:n], d.reach[:n]
+	if workers := p.Workers(); len(d.keep) < workers {
+		d.keep = append(d.keep, make([]workerBuf, workers-len(d.keep))...)
+	}
+	// Every worker's compaction buffer holds the longest row, so the
+	// kernel never grows one — whichever worker claims whichever chunk.
+	longest := n
+	if tab != nil {
+		longest = 0
+		for i := 0; i < n; i++ {
+			longest = max(longest, int(tab.Start[i+1]-tab.Start[i]))
+		}
+	}
+	for k := range d.keep {
+		if cap(d.keep[k].cand) < longest {
+			d.keep[k].cand = make([]int32, 0, longest+longest/8)
+		}
+	}
+	return tab
+}
+
+// row returns track i's candidates: its table row, or every aircraft.
+//
+//atm:inline
+func (d *Detector) row(tab *broadphase.PairTable, i int) []int32 {
+	if tab == nil {
+		return d.all
+	}
+	return tab.Candidates(i)
+}
+
+// scanOne runs one full scan of the track at index i with probe
+// velocity (vx, vy) on worker 0's buffer. Probe scans are deliberately
+// never fanned out, so the batch tally cannot depend on worker count.
 //
 //atm:noalloc
 //atm:noescape
-func scanTableOne(c *airspace.Columns, tab *broadphase.PairTable, ti int, vx, vy float64, sc *detectScratch) scanResult {
+func (d *Detector) scanOne(tab *broadphase.PairTable, i int, vx, vy float64) scanResult {
+	c := &d.cols
 	r := scanResult{tmin: airspace.SafeTime, with: airspace.NoConflict}
-	sc.bufs[0].cand = scanTableBatch(c, sc.bufs[0].cand, ti, c.X[ti], c.Y[ti], vx, vy, c.Alt[ti], tab.Candidates(ti), &r)
+	d.keep[0].cand = scanTableBatch(c, d.keep[0].cand, i, c.X[i], c.Y[i], vx, vy, c.Alt[i], d.row(tab, i), &r)
 	return r
 }
 
 // tableScanJob is the parallel scan phase's persistent body: one chunk
-// of tracks, each scanned once against the pre-resolution snapshot via
-// the batched kernel. Held in detectScratch so RunBody dispatch
-// allocates nothing.
+// of tracks, each scanned once against the pre-resolution snapshot.
+// Held in the Detector so RunBody dispatch allocates nothing.
 type tableScanJob struct {
-	sc        *detectScratch
-	w         *airspace.World
+	d         *Detector
 	tab       *broadphase.PairTable
 	wantReach bool
 }
 
 //atm:noalloc
 func (j *tableScanJob) Chunk(worker, lo, hi int) {
-	sc := j.sc
-	c := &sc.cols
+	d := j.d
+	c := &d.cols
+	buf := &d.keep[worker]
 	for i := lo; i < hi; i++ {
-		track := &j.w.Aircraft[i]
 		if j.wantReach {
-			sc.reach[i] = broadphase.ReachAt(c.DX[i], c.DY[i])
+			d.reach[i] = broadphase.ReachAt(c.DX[i], c.DY[i])
 		}
 		r := scanResult{tmin: airspace.SafeTime, with: airspace.NoConflict}
-		sc.bufs[worker].cand = scanTableBatch(c, sc.bufs[worker].cand, i, c.X[i], c.Y[i], track.DX, track.DY, c.Alt[i], j.tab.Candidates(i), &r)
-		sc.res[i] = r
+		buf.cand = scanTableBatch(c, buf.cand, i, c.X[i], c.Y[i], c.DX[i], c.DY[i], c.Alt[i], d.row(j.tab, i), &r)
+		d.res[i] = r
 	}
 }
 
-// prepareTableCols refreshes the scratch columns, builds the pair-source
-// index (from the columns when the source supports it), hands the
-// engine pool to the source, and materializes the candidate table.
-func prepareTableCols(w *airspace.World, src broadphase.PairSource, ts broadphase.TableSource, p *parexec.Pool, sc *detectScratch) *broadphase.PairTable {
-	sc.cols.FillFrom(w)
-	ts.SetPool(p)
-	if m := broadphase.MaintainerOf(src); m != nil {
-		if cp, ok := m.(broadphase.ColumnsPreparer); ok {
-			cp.PrepareColumns(&sc.cols)
-			return ts.PrepareTable()
-		}
-	}
-	src.Prepare(w)
-	return ts.PrepareTable()
-}
-
-// detectTable is DetectExec's sharded path.
+// Detect runs Task 2 only: it marks Col/TimeTill/ColWith on each
+// aircraft with a critical conflict, exactly as the specification
+// Detect does.
 //
 //atm:ordered-merge
-func detectTable(w *airspace.World, src broadphase.PairSource, ts broadphase.TableSource, p *parexec.Pool) DetectStats {
+func (d *Detector) Detect(w *airspace.World) DetectStats {
 	var st DetectStats
-	n := w.N()
-	sc := getDetectScratch(n, p.Workers())
-	defer putDetectScratch(sc)
-	tab := prepareTableCols(w, src, ts, p, sc)
-	c := &sc.cols
-	var batches int64
-
+	p := parexec.Resolve(d.pool)
+	tab := d.prepare(w, p)
 	if p.Workers() > 1 {
-		sc.tjob = tableScanJob{sc: sc, w: w, tab: tab}
-		p.RunBody(n, scanGrain, &sc.tjob)
+		d.job = tableScanJob{d: d, tab: tab}
+		p.RunBody(w.N(), scanGrain, &d.job)
 	} else {
+		c := &d.cols
 		for i := range w.Aircraft {
-			track := &w.Aircraft[i]
-			sc.res[i] = scanTableOne(c, tab, i, track.DX, track.DY, sc)
+			d.res[i] = d.scanOne(tab, i, c.DX[i], c.DY[i])
 		}
 	}
 	for i := range w.Aircraft {
 		track := &w.Aircraft[i]
 		track.ResetConflict()
-		r := sc.res[i]
+		r := d.res[i]
 		st.PairChecks += int(r.checks)
-		batches += int64(r.batches)
+		d.batches += int64(r.batches)
 		if r.tmin < airspace.CriticalTime {
 			st.Conflicts++
 			MarkConflict(w, track, r.with, r.tmin)
 		}
 	}
-	ts.AddKernelBatches(batches)
 	return st
 }
 
-// detectResolveTable is DetectResolveExec's sharded path. Control flow
-// is detectResolveCols' — snapshot scan phase, serial replay with the
-// dirty-envelope rescan rule, write-through heading commits — with
-// every scan served from the table through the batched kernel.
+// DetectResolve runs the fused Tasks 2 and 3 — the paper's
+// CheckCollisionPath — with the specification DetectResolve's results:
+// detect each track's earliest critical conflict and probe the rotation
+// schedule until a conflict-free heading is found and committed.
 //
 //atm:ordered-merge
-func detectResolveTable(w *airspace.World, src broadphase.PairSource, ts broadphase.TableSource, p *parexec.Pool) DetectStats {
+func (d *Detector) DetectResolve(w *airspace.World) DetectStats {
 	var st DetectStats
-	n := w.N()
-	sc := getDetectScratch(n, p.Workers())
-	defer putDetectScratch(sc)
-	tab := prepareTableCols(w, src, ts, p, sc)
-	c := &sc.cols
-	var batches int64
-
+	p := parexec.Resolve(d.pool)
+	tab := d.prepare(w, p)
 	if p.Workers() == 1 {
 		for i := range w.Aircraft {
-			resolveOneSerialTable(w, c, tab, &w.Aircraft[i], &st, &batches, sc)
+			d.resolveOne(w, tab, &w.Aircraft[i], &st)
 		}
-		ts.AddKernelBatches(batches)
 		return st
 	}
 
-	sc.tjob = tableScanJob{sc: sc, w: w, tab: tab, wantReach: true}
-	p.RunBody(n, scanGrain, &sc.tjob)
+	d.job = tableScanJob{d: d, tab: tab, wantReach: true}
+	p.RunBody(w.N(), scanGrain, &d.job)
 
-	dirty := sc.dirty[:0]
+	dirty := d.dirty[:0]
 	for i := range w.Aircraft {
 		track := &w.Aircraft[i]
-		r := sc.res[i]
-		if dirtyInteracts(w, sc, track, dirty) {
-			r = scanTableOne(c, tab, i, track.DX, track.DY, sc)
+		r := d.res[i]
+		if d.dirtyInteracts(i, dirty) {
+			r = d.scanOne(tab, i, track.DX, track.DY)
 		}
 		track.ResetConflict()
 		st.PairChecks += int(r.checks)
-		batches += int64(r.batches)
+		d.batches += int64(r.batches)
 		if !(r.tmin < airspace.CriticalTime) {
 			continue
 		}
 		st.Conflicts++
 		MarkConflict(w, track, r.with, r.tmin)
-
-		base := geom.Vec2{X: track.DX, Y: track.DY}
-		resolved := false
-		for _, deg := range rotationSchedule {
-			st.Rotations++
-			v := base.Rotate(deg)
-			track.BatX, track.BatY = v.X, v.Y
-			pr := scanTableOne(c, tab, i, v.X, v.Y, sc)
-			st.PairChecks += int(pr.checks)
-			batches += int64(pr.batches)
-			if !(pr.tmin < airspace.CriticalTime) {
-				track.DX, track.DY = v.X, v.Y
-				c.SetVel(i, v.X, v.Y)
-				track.ResetConflict()
-				st.Resolved++
-				resolved = true
-				dirty = append(dirty, int32(i))
-				break
-			}
-			MarkConflict(w, track, pr.with, pr.tmin)
-		}
-		if !resolved {
-			st.Unresolved++
+		if d.probe(w, tab, track, &st) {
+			dirty = append(dirty, int32(i))
 		}
 	}
-	sc.dirty = dirty[:0]
-	ts.AddKernelBatches(batches)
+	d.dirty = dirty[:0]
 	return st
 }
 
-// resolveOneSerialTable is resolveOneSerialCols serving candidates from
-// the table.
+// resolveOne is the specification's in-place Algorithm 2 for one track
+// aircraft, on the table and the batched kernel.
 //
 //atm:noalloc
-func resolveOneSerialTable(w *airspace.World, c *airspace.Columns, tab *broadphase.PairTable, track *airspace.Aircraft, st *DetectStats, batches *int64, sc *detectScratch) {
-	ti := int(track.ID)
+func (d *Detector) resolveOne(w *airspace.World, tab *broadphase.PairTable, track *airspace.Aircraft, st *DetectStats) {
 	track.ResetConflict()
-	r := scanTableOne(c, tab, ti, track.DX, track.DY, sc)
+	r := d.scanOne(tab, int(track.ID), track.DX, track.DY)
 	st.PairChecks += int(r.checks)
-	*batches += int64(r.batches)
+	d.batches += int64(r.batches)
 	if !(r.tmin < airspace.CriticalTime) {
 		return
 	}
 	st.Conflicts++
 	MarkConflict(w, track, r.with, r.tmin)
+	d.probe(w, tab, track, st)
+}
 
+// probe runs Task 3 for a conflicted track: it tries the rotation
+// schedule in order and commits the first conflict-free heading to the
+// record and the snapshot, reporting whether it found one.
+//
+//atm:noalloc
+func (d *Detector) probe(w *airspace.World, tab *broadphase.PairTable, track *airspace.Aircraft, st *DetectStats) bool {
+	ti := int(track.ID)
 	base := geom.Vec2{X: track.DX, Y: track.DY}
 	for _, deg := range rotationSchedule {
 		st.Rotations++
 		v := base.Rotate(deg)
 		track.BatX, track.BatY = v.X, v.Y
-		pr := scanTableOne(c, tab, ti, v.X, v.Y, sc)
+		pr := d.scanOne(tab, ti, v.X, v.Y)
 		st.PairChecks += int(pr.checks)
-		*batches += int64(pr.batches)
+		d.batches += int64(pr.batches)
 		if !(pr.tmin < airspace.CriticalTime) {
 			track.DX, track.DY = v.X, v.Y
-			c.SetVel(ti, v.X, v.Y)
+			d.cols.SetVel(ti, v.X, v.Y)
 			track.ResetConflict()
 			st.Resolved++
-			return
+			return true
 		}
 		MarkConflict(w, track, pr.with, pr.tmin)
 	}
 	st.Unresolved++
+	return false
+}
+
+// dirtyInteracts reports whether any committed heading change could
+// alter track i's precomputed scan: a dirty aircraft matters only if it
+// is within the vertical band and the two reach envelopes overlap on
+// both axes — outside that, no heading at its speed can produce a
+// conflict starting before CriticalTime (the broadphase exactness
+// argument), and such pairs never touch the scan's strict-< fold.
+//
+//atm:noalloc
+//atm:noescape
+func (d *Detector) dirtyInteracts(i int, dirty []int32) bool {
+	c := &d.cols
+	for _, j := range dirty {
+		if !AltOverlapAt(c.Alt[i], c.Alt[j]) {
+			continue
+		}
+		reach := d.reach[i] + d.reach[j]
+		dx := c.X[i] - c.X[j]
+		if dx < 0 {
+			dx = -dx
+		}
+		if dx > reach {
+			continue
+		}
+		dy := c.Y[i] - c.Y[j]
+		if dy < 0 {
+			dy = -dy
+		}
+		if dy <= reach {
+			return true
+		}
+	}
+	return false
 }

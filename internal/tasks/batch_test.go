@@ -11,12 +11,15 @@ import (
 )
 
 // TestBatchedKernelMatchesScalar is the batched-vs-scalar differential:
-// across randomized scenario families, the sharded table path — the
-// worker-parallel broad phase feeding the branch-free 8-wide kernel —
-// must produce worlds and stats identical to the scalar sweep kernel,
-// with incremental repair on or off, at every worker count, through
-// several consecutive detection rounds (so commits made by one round
-// feed the next, exercising table reuse against a repaired index).
+// across randomized scenario families, the Detector — the candidate
+// table feeding the branch-free 8-wide kernel — must produce worlds
+// identical to the scalar serial specification for every index (none,
+// brute, grid, sweep) at every worker count, through several
+// consecutive detection rounds (so commits made by one round feed the
+// next, exercising table reuse against a repaired index). Unpruned
+// detectors match the specification's stats exactly; pruned ones match
+// everything but the pair-check count, which must instead be identical
+// across worker counts.
 func TestBatchedKernelMatchesScalar(t *testing.T) {
 	families := []string{
 		"uniform",
@@ -26,7 +29,6 @@ func TestBatchedKernelMatchesScalar(t *testing.T) {
 		"dense",
 		"layers:gap=800",
 	}
-	serial := parexec.NewPool(1)
 	pools := []*parexec.Pool{parexec.NewPool(1), parexec.NewPool(3), parexec.NewPool(8)}
 	const rounds = 3
 
@@ -43,27 +45,27 @@ func TestBatchedKernelMatchesScalar(t *testing.T) {
 			seed := uint64(9000 + 31*fi + trial)
 			base := spec.Generate(n, rng.New(seed))
 
-			// One scalar reference chain and one sharded chain per
-			// configuration, advanced in lockstep round by round.
+			// The specification chain and one detector chain per
+			// (index, pool), advanced in lockstep round by round.
 			type chain struct {
-				label string
-				w     *airspace.World
-				src   broadphase.PairSource
-				pool  *parexec.Pool
+				label  string
+				pruned bool
+				w      *airspace.World
+				det    *Detector
 			}
-			ref := chain{label: "scalar", w: base.Clone(), src: broadphase.NewSweep(), pool: serial}
+			ref := base.Clone()
 			var got []chain
-			for _, inc := range []bool{false, true} {
+			for _, name := range append([]string{""}, broadphase.Names()...) {
 				for _, p := range pools {
-					lbl := "sharded"
-					if inc {
-						lbl = "sharded+coherent"
+					var idx broadphase.Index
+					if name != "" {
+						idx = broadphase.MustNew(name)
 					}
 					got = append(got, chain{
-						label: lbl + "/w" + itoa(p.Workers()),
-						w:     base.Clone(),
-						src:   broadphase.NewShardedSweep(inc),
-						pool:  p,
+						label:  "index " + name + "/w" + itoa(p.Workers()),
+						pruned: name == broadphase.GridName || name == broadphase.SweepName,
+						w:      base.Clone(),
+						det:    NewDetector(idx, p),
 					})
 				}
 			}
@@ -74,22 +76,34 @@ func TestBatchedKernelMatchesScalar(t *testing.T) {
 				}
 				// Detection alone on forks, so the fused task below sees
 				// identical inputs on every chain.
-				detW := ref.w.Clone()
-				detRef := DetectExec(detW, ref.src, ref.pool)
-				resRef := DetectResolveExec(ref.w, ref.src, ref.pool)
-				for _, c := range got {
+				detW := ref.Clone()
+				detRef := Detect(detW)
+				resRef := DetectResolve(ref)
+				var detChecks, resChecks int
+				for k, c := range got {
 					dw := c.w.Clone()
-					if det := DetectExec(dw, c.src, c.pool); det != detRef {
-						t.Fatalf("%s: stats diverged:\nscalar:  %+v\nsharded: %+v", tag(c, "Detect"), detRef, det)
+					det := c.det.Detect(dw)
+					res := c.det.DetectResolve(c.w)
+					if k%len(pools) == 0 {
+						detChecks, resChecks = det.PairChecks, res.PairChecks
+					} else if det.PairChecks != detChecks || res.PairChecks != resChecks {
+						t.Fatalf("%s: pair checks %d/%d vary with workers (w1: %d/%d)", tag(c, "DetectResolve"),
+							det.PairChecks, res.PairChecks, detChecks, resChecks)
+					}
+					if c.pruned {
+						det.PairChecks, res.PairChecks = detRef.PairChecks, resRef.PairChecks
+					}
+					if det != detRef {
+						t.Fatalf("%s: stats diverged:\nscalar:  %+v\nbatched: %+v", tag(c, "Detect"), detRef, det)
 					}
 					worldsEqual(t, tag(c, "Detect"), detW, dw)
-					if res := DetectResolveExec(c.w, c.src, c.pool); res != resRef {
-						t.Fatalf("%s: stats diverged:\nscalar:  %+v\nsharded: %+v", tag(c, "DetectResolve"), resRef, res)
+					if res != resRef {
+						t.Fatalf("%s: stats diverged:\nscalar:  %+v\nbatched: %+v", tag(c, "DetectResolve"), resRef, res)
 					}
-					worldsEqual(t, tag(c, "DetectResolve"), ref.w, c.w)
+					worldsEqual(t, tag(c, "DetectResolve"), ref, c.w)
 				}
 				// Fly the committed courses so the next round's index — and
-				// the incremental chains' repairs — see moved traffic.
+				// the sweep chains' repairs — see moved traffic.
 				advance := func(w *airspace.World) {
 					for i := range w.Aircraft {
 						a := &w.Aircraft[i]
@@ -98,7 +112,7 @@ func TestBatchedKernelMatchesScalar(t *testing.T) {
 						airspace.Wrap(a)
 					}
 				}
-				advance(ref.w)
+				advance(ref)
 				for _, c := range got {
 					advance(c.w)
 				}

@@ -31,28 +31,17 @@ type noallocSpec struct {
 //   - reviewers deciding whether a new hot-path function needs the
 //     directive: if it is called per period, it belongs here.
 var noallocContract = map[string]noallocSpec{
-	"scanWith":               {decl: true},
-	"scanPairInto":           {decl: true},
-	"resolveOneSerial":       {decl: true},
-	"dirtyInteracts":         {decl: true},
 	"correlateRadarFallback": {decl: true},
-	"scanPar":                {closures: 1}, // the fanned-out pair scan body
-	"DetectExec":             {closures: 1}, // the parallel scan phase
-	"DetectResolveExec":      {closures: 1}, // the parallel scan phase
 	"correlateParallel":      {closures: 4}, // expected-pos, box-search, commit, wrap phases
-	// Coherent (SoA) path, soa.go: mirrors of the record-path entries.
-	"scanColsInto":         {decl: true},
-	"scanColsWith":         {decl: true},
-	"resolveOneSerialCols": {decl: true},
-	"scanColsPar":          {closures: 1}, // the fanned-out pair scan body
-	"detectCols":           {closures: 1}, // the parallel scan phase
-	"detectResolveCols":    {closures: 1}, // the parallel scan phase
-	// Sharded (table-mode) path, batch.go: the batched kernel and its
-	// consumers. Chunk is tableScanJob's parallel scan body.
-	"scanTableBatch":        {decl: true},
-	"scanTableOne":          {decl: true},
-	"resolveOneSerialTable": {decl: true},
-	"Chunk":                 {decl: true},
+	// The fused Task 2+3 executor, batch.go: the batched kernel and the
+	// Detector methods a steady-state pass runs. Chunk is tableScanJob's
+	// parallel scan body.
+	"scanTableBatch": {decl: true},
+	"scanOne":        {decl: true},
+	"resolveOne":     {decl: true},
+	"probe":          {decl: true},
+	"dirtyInteracts": {decl: true},
+	"Chunk":          {decl: true},
 }
 
 // TestNoallocManifestMatchesDirectives parses this package's sources

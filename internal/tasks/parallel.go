@@ -1,447 +1,42 @@
-// Host-parallel execution of the reference tasks on the parexec
-// engine.
+// Host-parallel execution of Task 1 on the parexec engine.
 //
 // Parallelism here is about the simulator's wall clock only: every
 // modeled-time figure is derived from operation tallies elsewhere, and
-// every function in this file is bit-for-bit identical to the serial
-// reference at any worker count. The construction is phased: a
-// parallel phase computes per-item results that depend only on state
-// the task never mutates, and a serial phase replays the reference
-// control flow in aircraft-index (or radar-index) order, consuming the
-// precomputed results instead of recomputing them.
+// Correlate is bit-for-bit identical to the serial reference at any
+// worker count. The construction is phased: a parallel phase computes
+// per-item results that depend only on state the task never mutates,
+// and a serial phase replays the reference control flow in radar-index
+// order, consuming the precomputed results instead of recomputing them.
 //
-// Why that is exact, per task:
-//
-//   - Detect: the scan reads only X, Y, DX, DY, Alt and ID, while
-//     Detect mutates only the conflict fields (Col, ColWith, TimeTill,
-//     BatX, BatY). Every per-track scan is therefore independent of
-//     the others and can run concurrently; the serial replay applies
-//     ResetConflict/MarkConflict in index order, reproducing the
-//     reference's final state and stats exactly.
-//
-//   - DetectResolve: the only cross-track dependency is a committed
-//     heading change (DX, DY) by an earlier-index aircraft. The
-//     parallel phase scans every track against the pre-resolution
-//     velocity snapshot; the serial replay keeps a list of aircraft
-//     whose heading was committed ("dirty") and recomputes a
-//     precomputed scan only when a dirty aircraft could influence it —
-//     decided by the broadphase reach-envelope test, which is exact
-//     for any heading at a given speed (see package broadphase), and
-//     rotation preserves speed. A pair outside each other's envelopes
-//     contributes no conflict with tmin below CriticalTime under the
-//     old or the new heading, and the scan's strict-< fold ignores
-//     such pairs entirely, so the precomputed result is already the
-//     one the reference would compute.
-//
-//   - Correlate: expected positions are fixed for the whole
-//     invocation, so each (radar, pass) bounding-box candidate set is
-//     a pure function of geometry. The parallel phase computes those
-//     candidate lists per pass; the serial replay runs the reference
-//     matching state machine over the candidates only, in radar-index
-//     then aircraft-index order, and reconstructs the Comparisons
-//     tally (which the reference counts per eligible aircraft, hit or
-//     miss) from the candidate walk plus the set of aircraft withdrawn
-//     before the scan started. A radar released mid-pass has no
-//     precomputed list and falls back to the reference inner loop.
+// Expected positions are fixed for the whole invocation, so each
+// (radar, pass) bounding-box candidate set is a pure function of
+// geometry. The parallel phase computes those candidate lists per pass;
+// the serial replay runs the reference matching state machine over the
+// candidates only, in radar-index then aircraft-index order, and
+// reconstructs the Comparisons tally (which the reference counts per
+// eligible aircraft, hit or miss) from the candidate walk plus the set
+// of aircraft withdrawn before the scan started. A radar released
+// mid-pass has no precomputed list and falls back to the reference
+// inner loop. (The fused Task 2+3 executor and its exactness argument
+// live in batch.go.)
 package tasks
 
 import (
 	"sync"
 
 	"repro/internal/airspace"
-	"repro/internal/broadphase"
-	"repro/internal/geom"
 	"repro/internal/parexec"
 	"repro/internal/radar"
 )
 
-// Work-queue grains: outer loops hand out small index ranges so skewed
-// per-item costs (broad-phase candidate counts vary wildly) keep every
-// worker busy; the inner pair scan uses a larger grain because its
+// Work-queue grains of the correlation phases: the radar loop hands out
+// small index ranges so skewed per-radar costs keep every worker busy;
+// the element-wise aircraft loops use a larger grain because their
 // per-item cost is uniform.
 const (
-	scanGrain  = 32
 	radarGrain = 16
 	elemGrain  = 1024
-	innerGrain = 1024
 )
-
-// rotationSchedule is RotationSchedule computed once: the schedule is
-// probed for every conflicted aircraft and must not allocate per use.
-var rotationSchedule = RotationSchedule()
-
-// scanResult is one track's scan outcome: the earliest conflict start,
-// the partner that achieved it (first-wins on ties), the number of pair
-// checks performed, and — on the batched-kernel path — the number of
-// 8-wide batch iterations executed (tail included).
-type scanResult struct {
-	tmin    float64
-	with    int32
-	checks  int32
-	batches int32
-}
-
-// workerBuf is one worker's candidate buffer, padded so neighbouring
-// workers' slice headers don't share a cache line.
-type workerBuf struct {
-	cand []int32
-	_    [40]byte
-}
-
-// detectScratch holds the reusable state of one Detect/DetectResolve
-// invocation; a sync.Pool keeps the hot path allocation-free.
-type detectScratch struct {
-	res   []scanResult
-	reach []float64
-	parts []scanResult
-	dirty []int32
-	bufs  []workerBuf
-	// cols is the column snapshot used by the coherent (SoA) scan path
-	// in soa.go; the record path never touches it.
-	cols airspace.Columns
-	// tjob is the sharded path's persistent scan body (batch.go), held
-	// here so its RunBody dispatch allocates nothing.
-	tjob tableScanJob
-}
-
-var detectScratchPool sync.Pool
-
-func getDetectScratch(n, workers int) *detectScratch {
-	sc, _ := detectScratchPool.Get().(*detectScratch)
-	if sc == nil {
-		sc = &detectScratch{}
-	}
-	if cap(sc.res) < n {
-		sc.res = make([]scanResult, n)
-	}
-	sc.res = sc.res[:n]
-	if cap(sc.reach) < n {
-		sc.reach = make([]float64, n)
-	}
-	sc.reach = sc.reach[:n]
-	if len(sc.bufs) < workers {
-		sc.bufs = append(sc.bufs[:cap(sc.bufs)], make([]workerBuf, workers-cap(sc.bufs))...)
-	}
-	return sc
-}
-
-func putDetectScratch(sc *detectScratch) { detectScratchPool.Put(sc) }
-
-// scanWith evaluates one candidate heading (vx, vy) for the track
-// aircraft against every other aircraft — or the broadphase candidate
-// set — exactly as the reference scan does, accumulating into a
-// scanResult. buf is the caller's reusable candidate buffer.
-//
-//atm:noalloc
-//atm:noescape
-func scanWith(w *airspace.World, track *airspace.Aircraft, vx, vy float64, src broadphase.PairSource, buf *[]int32) scanResult {
-	r := scanResult{tmin: airspace.SafeTime, with: airspace.NoConflict}
-	if src == nil {
-		for p := range w.Aircraft {
-			scanPairInto(track, &w.Aircraft[p], vx, vy, &r)
-		}
-		return r
-	}
-	cand := src.AppendCandidates((*buf)[:0], w, track)
-	*buf = cand
-	for _, p := range cand {
-		scanPairInto(track, &w.Aircraft[p], vx, vy, &r)
-	}
-	return r
-}
-
-// scanPairInto folds one trial aircraft into the running scan minimum
-// (the reference scanPair). This is the innermost fused Task 2+3 pair
-// kernel: the gate holds it escape-free and bounds-check-free.
-//
-//atm:noalloc
-//atm:noescape
-//atm:nobce
-func scanPairInto(track, trial *airspace.Aircraft, vx, vy float64, r *scanResult) {
-	if trial.ID == track.ID || !AltOverlap(track, trial) {
-		return
-	}
-	r.checks++
-	tmin, tmax, ok := PairConflict(track.X, track.Y, vx, vy, trial)
-	if !ok || tmin >= tmax {
-		return
-	}
-	if tmin < r.tmin {
-		r.tmin = tmin
-		r.with = trial.ID
-	}
-}
-
-// scanPar is scanWith with the pair loop itself fanned out when the
-// scan is large enough to pay for dispatch: fixed-size chunks fold
-// partial minima that are merged in ascending chunk order, so the
-// strict-< first-wins tie-break of the serial fold is preserved
-// exactly. Used by the serial replay of DetectResolve, where one
-// conflicted track's rotation probes would otherwise idle the pool.
-//
-//atm:ordered-merge
-func scanPar(w *airspace.World, track *airspace.Aircraft, vx, vy float64, src broadphase.PairSource, p *parexec.Pool, sc *detectScratch) scanResult {
-	var cand []int32
-	m := w.N()
-	if src != nil {
-		cand = src.AppendCandidates(sc.bufs[0].cand[:0], w, track)
-		sc.bufs[0].cand = cand
-		m = len(cand)
-	}
-	if p.Workers() == 1 || m < 2*innerGrain {
-		r := scanResult{tmin: airspace.SafeTime, with: airspace.NoConflict}
-		if src == nil {
-			for q := range w.Aircraft {
-				scanPairInto(track, &w.Aircraft[q], vx, vy, &r)
-			}
-		} else {
-			for _, q := range cand {
-				scanPairInto(track, &w.Aircraft[q], vx, vy, &r)
-			}
-		}
-		return r
-	}
-	chunks := (m + innerGrain - 1) / innerGrain
-	if cap(sc.parts) < chunks {
-		sc.parts = make([]scanResult, chunks)
-	}
-	parts := sc.parts[:chunks]
-	//atm:noalloc
-	p.Run(m, innerGrain, func(_, lo, hi int) {
-		pr := scanResult{tmin: airspace.SafeTime, with: airspace.NoConflict}
-		if src == nil {
-			for q := lo; q < hi; q++ {
-				scanPairInto(track, &w.Aircraft[q], vx, vy, &pr)
-			}
-		} else {
-			for _, q := range cand[lo:hi] {
-				scanPairInto(track, &w.Aircraft[q], vx, vy, &pr)
-			}
-		}
-		parts[lo/innerGrain] = pr
-	})
-	out := scanResult{tmin: airspace.SafeTime, with: airspace.NoConflict}
-	for _, pr := range parts {
-		out.checks += pr.checks
-		if pr.tmin < out.tmin {
-			out.tmin = pr.tmin
-			out.with = pr.with
-		}
-	}
-	return out
-}
-
-// DetectExec is DetectWith on an explicit engine pool; nil means the
-// process default. Results are identical at any worker count.
-//
-//atm:ordered-merge
-func DetectExec(w *airspace.World, src broadphase.PairSource, pool *parexec.Pool) DetectStats {
-	p := parexec.Resolve(pool)
-	if ts := broadphase.TableOf(src); ts != nil {
-		return detectTable(w, src, ts, p)
-	}
-	if m := colsMaintainer(src); m != nil {
-		return detectCols(w, src, m, p)
-	}
-	if src != nil {
-		src.Prepare(w)
-	}
-	var st DetectStats
-	n := w.N()
-	sc := getDetectScratch(n, p.Workers())
-	defer putDetectScratch(sc)
-
-	if p.Workers() == 1 {
-		buf := &sc.bufs[0].cand
-		for i := range w.Aircraft {
-			track := &w.Aircraft[i]
-			track.ResetConflict()
-			r := scanWith(w, track, track.DX, track.DY, src, buf)
-			st.PairChecks += int(r.checks)
-			if r.tmin < airspace.CriticalTime {
-				st.Conflicts++
-				MarkConflict(w, track, r.with, r.tmin)
-			}
-		}
-		return st
-	}
-
-	// Parallel phase: every track's scan, against state Detect never
-	// mutates.
-	//atm:noalloc
-	p.Run(n, scanGrain, func(worker, lo, hi int) {
-		buf := &sc.bufs[worker].cand
-		for i := lo; i < hi; i++ {
-			track := &w.Aircraft[i]
-			sc.res[i] = scanWith(w, track, track.DX, track.DY, src, buf)
-		}
-	})
-	// Serial replay in index order.
-	for i := range w.Aircraft {
-		track := &w.Aircraft[i]
-		track.ResetConflict()
-		r := sc.res[i]
-		st.PairChecks += int(r.checks)
-		if r.tmin < airspace.CriticalTime {
-			st.Conflicts++
-			MarkConflict(w, track, r.with, r.tmin)
-		}
-	}
-	return st
-}
-
-// DetectResolveExec is DetectResolveWith on an explicit engine pool;
-// nil means the process default. Results are identical at any worker
-// count.
-//
-//atm:ordered-merge
-func DetectResolveExec(w *airspace.World, src broadphase.PairSource, pool *parexec.Pool) DetectStats {
-	p := parexec.Resolve(pool)
-	if ts := broadphase.TableOf(src); ts != nil {
-		return detectResolveTable(w, src, ts, p)
-	}
-	if m := colsMaintainer(src); m != nil {
-		return detectResolveCols(w, src, m, p)
-	}
-	if src != nil {
-		src.Prepare(w)
-	}
-	var st DetectStats
-	n := w.N()
-	sc := getDetectScratch(n, p.Workers())
-	defer putDetectScratch(sc)
-
-	if p.Workers() == 1 {
-		buf := &sc.bufs[0].cand
-		for i := range w.Aircraft {
-			resolveOneSerial(w, &w.Aircraft[i], &st, src, buf)
-		}
-		return st
-	}
-
-	// Parallel phase: scan every track against the pre-resolution
-	// velocity snapshot, and record its reach envelope (a function of
-	// position and speed only, both invariant across heading commits).
-	//atm:noalloc
-	p.Run(n, scanGrain, func(worker, lo, hi int) {
-		buf := &sc.bufs[worker].cand
-		for i := lo; i < hi; i++ {
-			track := &w.Aircraft[i]
-			sc.reach[i] = broadphase.Reach(track)
-			sc.res[i] = scanWith(w, track, track.DX, track.DY, src, buf)
-		}
-	})
-
-	// Serial replay in index order. dirty lists the aircraft whose
-	// heading has been committed; a precomputed scan is stale only if
-	// a dirty aircraft passes the envelope-interaction test.
-	dirty := sc.dirty[:0]
-	for i := range w.Aircraft {
-		track := &w.Aircraft[i]
-		r := sc.res[i]
-		if dirtyInteracts(w, sc, track, dirty) {
-			r = scanPar(w, track, track.DX, track.DY, src, p, sc)
-		}
-		track.ResetConflict()
-		st.PairChecks += int(r.checks)
-		if !(r.tmin < airspace.CriticalTime) {
-			continue
-		}
-		st.Conflicts++
-		MarkConflict(w, track, r.with, r.tmin)
-
-		base := geom.Vec2{X: track.DX, Y: track.DY}
-		resolved := false
-		for _, deg := range rotationSchedule {
-			st.Rotations++
-			v := base.Rotate(deg)
-			track.BatX, track.BatY = v.X, v.Y
-			pr := scanPar(w, track, v.X, v.Y, src, p, sc)
-			st.PairChecks += int(pr.checks)
-			if !(pr.tmin < airspace.CriticalTime) {
-				track.DX, track.DY = v.X, v.Y
-				track.ResetConflict()
-				st.Resolved++
-				resolved = true
-				dirty = append(dirty, int32(i))
-				break
-			}
-			MarkConflict(w, track, pr.with, pr.tmin)
-		}
-		if !resolved {
-			st.Unresolved++
-		}
-	}
-	sc.dirty = dirty[:0]
-	return st
-}
-
-// resolveOneSerial is the reference Algorithm 2 for a single track
-// aircraft, with a reusable candidate buffer.
-//
-//atm:noalloc
-//atm:noescape
-func resolveOneSerial(w *airspace.World, track *airspace.Aircraft, st *DetectStats, src broadphase.PairSource, buf *[]int32) {
-	track.ResetConflict()
-	r := scanWith(w, track, track.DX, track.DY, src, buf)
-	st.PairChecks += int(r.checks)
-	if !(r.tmin < airspace.CriticalTime) {
-		return
-	}
-	st.Conflicts++
-	MarkConflict(w, track, r.with, r.tmin)
-
-	base := geom.Vec2{X: track.DX, Y: track.DY}
-	for _, deg := range rotationSchedule {
-		st.Rotations++
-		v := base.Rotate(deg)
-		track.BatX, track.BatY = v.X, v.Y
-		pr := scanWith(w, track, v.X, v.Y, src, buf)
-		st.PairChecks += int(pr.checks)
-		if !(pr.tmin < airspace.CriticalTime) {
-			track.DX, track.DY = v.X, v.Y
-			track.ResetConflict()
-			st.Resolved++
-			return
-		}
-		MarkConflict(w, track, pr.with, pr.tmin)
-	}
-	st.Unresolved++
-}
-
-// dirtyInteracts reports whether any committed heading change could
-// alter track's precomputed scan: a dirty aircraft matters only if it
-// is within the vertical band and the two reach envelopes overlap on
-// both axes — outside that, no heading at its speed can produce a
-// conflict starting before CriticalTime (the broadphase exactness
-// argument), and such pairs never touch the scan's strict-< fold.
-//
-//atm:noalloc
-//atm:noescape
-func dirtyInteracts(w *airspace.World, sc *detectScratch, track *airspace.Aircraft, dirty []int32) bool {
-	for _, j := range dirty {
-		o := &w.Aircraft[j]
-		if !AltOverlap(track, o) {
-			continue
-		}
-		reach := sc.reach[track.ID] + sc.reach[j]
-		dx := track.X - o.X
-		if dx < 0 {
-			dx = -dx
-		}
-		if dx > reach {
-			continue
-		}
-		dy := track.Y - o.Y
-		if dy < 0 {
-			dy = -dy
-		}
-		if dy <= reach {
-			return true
-		}
-	}
-	return false
-}
 
 // corrScratch holds the reusable state of one Correlate invocation.
 type corrScratch struct {

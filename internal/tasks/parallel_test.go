@@ -10,33 +10,23 @@ import (
 	"repro/internal/rng"
 )
 
-// incrementalSweepName selects the coherent-mode sweep in test tables;
-// it is not a registry name (the registry exposes the mode through
-// NewWith options, not a separate source).
-const incrementalSweepName = "incremental-sweep"
-
-// shardedSweepName and shardedIncrementalSweepName select the
-// worker-parallel table broad phase (rebuild and coherent flavors) in
-// test tables; like incrementalSweepName they are not registry names.
-const (
-	shardedSweepName            = "sharded-sweep"
-	shardedIncrementalSweepName = "sharded-incremental-sweep"
-)
-
-// newTestSource builds a fresh pair source for a registry name, or nil
-// for the all-pairs scan.
-func newTestSource(name string) broadphase.PairSource {
-	switch name {
-	case "":
+// newTestIndex builds a fresh index for a registry name, or nil for
+// the all-pairs scan.
+func newTestIndex(name string) broadphase.Index {
+	if name == "" {
 		return nil
-	case incrementalSweepName:
-		return broadphase.NewIncrementalSweep()
-	case shardedSweepName:
-		return broadphase.NewShardedSweep(false)
-	case shardedIncrementalSweepName:
-		return broadphase.NewShardedSweep(true)
 	}
 	return broadphase.MustNew(name)
+}
+
+// matchSpec compares a detector's stats with the specification's. A
+// pruning index evaluates fewer pairs, so only grid and sweep are let
+// off the pair-check count.
+func matchSpec(srcName string, spec, got DetectStats) bool {
+	if srcName == broadphase.GridName || srcName == broadphase.SweepName {
+		got.PairChecks = spec.PairChecks
+	}
+	return got == spec
 }
 
 func worldsEqual(t *testing.T, label string, want, got *airspace.World) {
@@ -63,16 +53,14 @@ func framesEqual(t *testing.T, label string, want, got *radar.Frame) {
 }
 
 // TestParallelMatchesSerial is the determinism property test: across
-// 100 randomized worlds, every pair source, and worker counts
-// {1, 2, 3, 8}, the host-parallel Correlate/Detect/DetectResolve
+// 100 randomized worlds, every index, and worker counts {1, 2, 3, 8},
+// the host-parallel Correlate and the Detector's Detect/DetectResolve
 // produce world state, frame state, and stats identical to the serial
-// reference. Worker count 1 is the reference itself; the others
-// exercise the phased parallel paths.
+// specification, and pair-check counts identical across worker counts.
 func TestParallelMatchesSerial(t *testing.T) {
-	sources := []string{"", broadphase.BruteName, broadphase.GridName, broadphase.SweepName,
-		incrementalSweepName, shardedSweepName, shardedIncrementalSweepName}
+	sources := append([]string{""}, broadphase.Names()...)
 	serial := parexec.NewPool(1)
-	pools := []*parexec.Pool{parexec.NewPool(2), parexec.NewPool(3), parexec.NewPool(8)}
+	pools := []*parexec.Pool{serial, parexec.NewPool(2), parexec.NewPool(3), parexec.NewPool(8)}
 
 	for trial := 0; trial < 100; trial++ {
 		seed := uint64(1000 + 7*trial)
@@ -91,10 +79,11 @@ func TestParallelMatchesSerial(t *testing.T) {
 		corrRef := CorrelateNExec(refW, refF, passes, serial)
 		corrW := refW.Clone()
 		refDetW := refW.Clone()
-		detRef := DetectExec(refDetW, newTestSource(srcName), serial)
-		resRef := DetectResolveExec(refW, newTestSource(srcName), serial)
+		detRef := Detect(refDetW)
+		resRef := DetectResolve(refW)
 
-		for _, p := range pools {
+		var detChecks, resChecks int
+		for pi, p := range pools {
 			gotW := base.Clone()
 			gotF := frame.Clone()
 			corr := CorrelateNExec(gotW, gotF, passes, p)
@@ -108,44 +97,49 @@ func TestParallelMatchesSerial(t *testing.T) {
 			worldsEqual(t, tag("Correlate"), corrW, gotW)
 			framesEqual(t, tag("Correlate"), refF, gotF)
 
+			d := NewDetector(newTestIndex(srcName), p)
 			gotDetW := gotW.Clone()
-			det := DetectExec(gotDetW, newTestSource(srcName), p)
-			if det != detRef {
-				t.Fatalf("%s: stats diverged:\nserial:   %+v\nparallel: %+v", tag("Detect"), detRef, det)
+			det := d.Detect(gotDetW)
+			if !matchSpec(srcName, detRef, det) {
+				t.Fatalf("%s: stats diverged:\nspec:     %+v\ndetector: %+v", tag("Detect"), detRef, det)
 			}
 			worldsEqual(t, tag("Detect"), refDetW, gotDetW)
 
-			res := DetectResolveExec(gotW, newTestSource(srcName), p)
-			if res != resRef {
-				t.Fatalf("%s: stats diverged:\nserial:   %+v\nparallel: %+v", tag("DetectResolve"), resRef, res)
+			res := d.DetectResolve(gotW)
+			if !matchSpec(srcName, resRef, res) {
+				t.Fatalf("%s: stats diverged:\nspec:     %+v\ndetector: %+v", tag("DetectResolve"), resRef, res)
 			}
 			worldsEqual(t, tag("DetectResolve"), refW, gotW)
+			if pi == 0 {
+				detChecks, resChecks = det.PairChecks, res.PairChecks
+			} else if det.PairChecks != detChecks || res.PairChecks != resChecks {
+				t.Fatalf("%s: pair checks %d/%d vary with workers (serial %d/%d)", tag("DetectResolve"),
+					det.PairChecks, res.PairChecks, detChecks, resChecks)
+			}
 		}
 	}
 }
 
 // TestParallelMatchesSerialDense drives the paths the randomized sweep
-// cannot reach at small n: worlds big enough that rotation probes take
-// the chunked inner scan (n >= 2*innerGrain), and radar noise heavy
-// enough that aircraft withdrawals release mid-pass radars into the
-// serial fallback.
+// cannot reach at small n: a world big enough that many conflicted
+// aircraft probe rotations against all 4000 aircraft through the dirty
+// replay, and radar noise heavy enough that aircraft withdrawals
+// release mid-pass radars into the serial fallback.
 func TestParallelMatchesSerialDense(t *testing.T) {
 	serial := parexec.NewPool(1)
-	pools := []*parexec.Pool{parexec.NewPool(2), parexec.NewPool(8)}
+	pools := []*parexec.Pool{serial, parexec.NewPool(2), parexec.NewPool(8)}
 
-	// Big world: conflicted aircraft probe rotations over 4000 aircraft,
-	// well past the chunking threshold.
 	big := airspace.NewWorld(4000, rng.New(99))
 	refBig := big.Clone()
-	resRef := DetectResolveExec(refBig, nil, serial)
+	resRef := DetectResolve(refBig)
 	if resRef.Conflicts == 0 {
 		t.Fatal("dense world produced no conflicts; test exercises nothing")
 	}
 	for _, p := range pools {
 		gotBig := big.Clone()
-		res := DetectResolveExec(gotBig, nil, p)
+		res := NewDetector(nil, p).DetectResolve(gotBig)
 		if res != resRef {
-			t.Fatalf("workers=%d: stats diverged:\nserial:   %+v\nparallel: %+v", p.Workers(), resRef, res)
+			t.Fatalf("workers=%d: stats diverged:\nspec:     %+v\ndetector: %+v", p.Workers(), resRef, res)
 		}
 		worldsEqual(t, "DetectResolve dense (workers "+itoa(p.Workers())+")", refBig, gotBig)
 	}
@@ -160,7 +154,7 @@ func TestParallelMatchesSerialDense(t *testing.T) {
 	if corrRef.WithdrawnAircraft == 0 || corrRef.DiscardedRadars == 0 {
 		t.Fatalf("noisy frame produced no contention (stats %+v); test exercises nothing", corrRef)
 	}
-	for _, p := range pools {
+	for _, p := range pools[1:] {
 		gotW := noisy.Clone()
 		gotF := frame.Clone()
 		corr := CorrelateExec(gotW, gotF, p)
@@ -187,10 +181,13 @@ func itoa(v int) string {
 }
 
 // TestExecZeroAllocSteadyState pins the zero-allocation property of
-// the hot paths: after a warm-up call, a full Correlate+DetectResolve
-// period allocates nothing on the serial path and at most a handful of
-// fixed-size dispatch closures on the parallel path — never anything
-// proportional to the aircraft count.
+// the hot paths. After a warm-up pass, a Detector's fused all-pairs
+// pass and its table passes (every index) allocate nothing at any
+// worker count: the detector owns all of its scratch, so the property
+// holds however the garbage collector behaves. Correlate allocates
+// nothing on the serial path and at most a handful of fixed-size
+// dispatch closures on the parallel path — never anything proportional
+// to the aircraft count.
 //
 // The functions under this contract are exactly those listed in
 // noallocContract (noalloc_manifest_test.go), which also carry
@@ -205,29 +202,34 @@ func TestExecZeroAllocSteadyState(t *testing.T) {
 	}
 	base := airspace.NewWorld(600, rng.New(3))
 	frame := radar.Generate(base, radar.DefaultNoise, rng.New(4))
-	for _, workers := range []int{1, 4} {
+	for _, workers := range []int{1, 2, 8} {
 		p := parexec.NewPool(workers)
-		// The parallel path allocates one closure per Run dispatch
+		for _, srcName := range append([]string{""}, broadphase.Names()...) {
+			d := NewDetector(newTestIndex(srcName), p)
+			w := base.Clone()
+			pass := func() {
+				w.Aircraft[0].X += 1e-3 // move the world so every pass rebuilds a changed table
+				d.Detect(w)
+				d.DetectResolve(w)
+			}
+			pass() // warm the detector's scratch and the worker pool
+			if avg := testing.AllocsPerRun(10, pass); avg != 0 {
+				t.Errorf("workers=%d src=%q: %.1f allocs per Detect+DetectResolve, want 0", workers, srcName, avg)
+			}
+		}
+
+		// The parallel Correlate allocates one closure per Run dispatch
 		// (phase bodies capture per-invocation state); that is a small
 		// constant per period, independent of n.
 		limit := 0.5
 		if workers > 1 {
 			limit = 12
 		}
-		for _, srcName := range []string{"", broadphase.GridName, broadphase.SweepName,
-			incrementalSweepName, shardedSweepName, shardedIncrementalSweepName} {
-			src := newTestSource(srcName)
-			w := base.Clone()
-			f := frame.Clone()
-			run := func() {
-				CorrelateExec(w, f, p)
-				DetectResolveExec(w, src, p)
-			}
-			run() // warm scratch pools and the worker pool
-			avg := testing.AllocsPerRun(10, run)
-			if avg > limit {
-				t.Errorf("workers=%d src=%q: %.1f allocs per period, want <= %.1f", workers, srcName, avg, limit)
-			}
+		w, f := base.Clone(), frame.Clone()
+		correlate := func() { CorrelateExec(w, f, p) }
+		correlate()
+		if avg := testing.AllocsPerRun(10, correlate); avg > limit {
+			t.Errorf("workers=%d: %.1f allocs per Correlate, want <= %.1f", workers, avg, limit)
 		}
 	}
 }

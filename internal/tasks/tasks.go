@@ -18,7 +18,6 @@ import (
 	"sort"
 
 	"repro/internal/airspace"
-	"repro/internal/broadphase"
 	"repro/internal/geom"
 	"repro/internal/radar"
 )
@@ -277,29 +276,82 @@ type DetectStats struct {
 // flags. Aircraft that exhaust every heading keep their course with the
 // collision flags set (the paper resolves such leftovers by altitude
 // changes, outside these tasks).
+//
+// This is the serial all-pairs specification of Algorithm 2, written
+// for reading: every executor — the Detector in batch.go and each
+// platform model — is tested against it.
 func DetectResolve(w *airspace.World) DetectStats {
-	return DetectResolveExec(w, nil, nil)
-}
+	var st DetectStats
+	for i := range w.Aircraft {
+		track := &w.Aircraft[i]
+		track.ResetConflict()
+		tmin, with := scan(w, track, track.DX, track.DY, &st)
+		if !(tmin < airspace.CriticalTime) {
+			continue
+		}
+		st.Conflicts++
+		MarkConflict(w, track, with, tmin)
 
-// DetectResolveWith is DetectResolve with an optional broadphase pair
-// source pruning the pair enumeration (nil means the all-pairs scan).
-// Because every source's candidate sets are exact supersets, the result
-// is identical for any source.
-func DetectResolveWith(w *airspace.World, src broadphase.PairSource) DetectStats {
-	return DetectResolveExec(w, src, nil)
+		base := geom.Vec2{X: track.DX, Y: track.DY}
+		resolved := false
+		for _, deg := range rotationSchedule {
+			st.Rotations++
+			v := base.Rotate(deg)
+			track.BatX, track.BatY = v.X, v.Y
+			tmin, with = scan(w, track, v.X, v.Y, &st)
+			if !(tmin < airspace.CriticalTime) {
+				track.DX, track.DY = v.X, v.Y
+				track.ResetConflict()
+				st.Resolved++
+				resolved = true
+				break
+			}
+			MarkConflict(w, track, with, tmin)
+		}
+		if !resolved {
+			st.Unresolved++
+		}
+	}
+	return st
 }
 
 // Detect runs Task 2 only (no resolution), used by the split-kernel
 // ablation. It marks Col/TimeTill/ColWith on each aircraft with a
-// critical conflict.
+// critical conflict. Like DetectResolve it is the serial all-pairs
+// specification.
 func Detect(w *airspace.World) DetectStats {
-	return DetectExec(w, nil, nil)
+	var st DetectStats
+	for i := range w.Aircraft {
+		track := &w.Aircraft[i]
+		track.ResetConflict()
+		tmin, with := scan(w, track, track.DX, track.DY, &st)
+		if tmin < airspace.CriticalTime {
+			st.Conflicts++
+			MarkConflict(w, track, with, tmin)
+		}
+	}
+	return st
 }
 
-// DetectWith is Detect with an optional broadphase pair source (nil
-// means the all-pairs scan).
-func DetectWith(w *airspace.World, src broadphase.PairSource) DetectStats {
-	return DetectExec(w, src, nil)
+// scan evaluates the track aircraft flying (vx, vy) against every
+// other aircraft and returns the earliest conflict start below
+// SafeTime and its partner; a strictly earlier conflict replaces the
+// running minimum, so the lowest index wins ties. Pairs within the
+// vertical band count as pair checks.
+func scan(w *airspace.World, track *airspace.Aircraft, vx, vy float64, st *DetectStats) (tmin float64, with int32) {
+	tmin, with = airspace.SafeTime, airspace.NoConflict
+	for p := range w.Aircraft {
+		trial := &w.Aircraft[p]
+		if trial.ID == track.ID || !AltOverlap(track, trial) {
+			continue
+		}
+		st.PairChecks++
+		lo, hi, ok := PairConflict(track.X, track.Y, vx, vy, trial)
+		if ok && lo < hi && lo < tmin {
+			tmin, with = lo, trial.ID
+		}
+	}
+	return tmin, with
 }
 
 // MarkConflict records a critical conflict on the track aircraft and

@@ -22,32 +22,25 @@ const (
 	NameDetectUnresolved = "detect.unresolved"
 	NameDetectPairChecks = "detect.pairchecks"
 
-	// Broad-phase pruning counters, drained by core after each Tasks
-	// 2-3 run when a pair source is installed.
+	// Broad-phase counters, drained by core from the installed index
+	// after each Tasks 2-3 run: tracks indexed and the candidate-table
+	// entries they received (N² for the brute oracle's implicit table).
 	NameBroadphaseQueries    = "broadphase.queries"
 	NameBroadphaseCandidates = "broadphase.candidates"
 
-	// Incremental broad-phase maintenance counters, drained by core
-	// after each Tasks 2-3 run when the coherent mode is on. Updates
-	// and Rebuilds partition the Prepare calls (an update repaired the
-	// previous order in place; a rebuild fell back to a full sort);
-	// Moved and Resorted describe repair effort. The matching span
-	// names are the engines' per-phase kernel names suffixed with
-	// ".update" / ".rebuild" (e.g. "broadphase.update", "index.rebuild",
-	// "ap.index.update").
+	// Sweep maintenance counters. Updates and Rebuilds partition the
+	// builds (an update repaired the previous sorted order in place; a
+	// rebuild ran a full sort); Moved and Resorted describe repair
+	// effort.
 	NameBroadphaseUpdates  = "broadphase.updates"
 	NameBroadphaseRebuilds = "broadphase.rebuilds"
 	NameBroadphaseMoved    = "broadphase.moved"
 	NameBroadphaseResorted = "broadphase.resorted"
 
-	// Sharded broad-phase counters, drained by core after each Tasks 2-3
-	// run when the worker-parallel table mode (-parshard) is on:
-	// NameBroadphaseSegments counts table-build segments walked,
-	// NameKernelBatches the 8-wide batched-kernel iterations consumers
-	// executed against the table. Both are invariant across worker
-	// counts, like every result the mode produces.
+	// NameBroadphaseSegments counts candidate-table build segments
+	// walked (sweep and grid); like every index counter it is identical
+	// at every worker count.
 	NameBroadphaseSegments = "broadphase.segments"
-	NameKernelBatches      = "kernel.batches"
 
 	// NameServeRun spans one whole served simulation (internal/serve):
 	// it starts at the schedule origin and covers the run's virtual

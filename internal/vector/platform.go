@@ -21,9 +21,9 @@ func NewPlatform(p Profile) *Platform { return &Platform{m: New(p)} }
 // Machine exposes the underlying machine.
 func (p *Platform) Machine() *Machine { return p.m }
 
-// SetPairSource installs a broadphase pair source on the machine (nil
+// SetPairSource installs a broadphase index on the machine (nil
 // restores the all-pairs lane sweep).
-func (p *Platform) SetPairSource(src broadphase.PairSource) { p.m.SetPairSource(src) }
+func (p *Platform) SetPairSource(idx broadphase.Index) { p.m.SetPairSource(idx) }
 
 // SetWorkers pins the host worker count used to execute the modeled
 // cores (n <= 0 restores the process-default pool).

@@ -75,7 +75,7 @@ var AVX2Workstation = Profile{
 // steady-state task invocations allocate nothing.
 type Machine struct {
 	prof Profile
-	src  broadphase.PairSource
+	idx  broadphase.Index
 	pool *parexec.Pool
 
 	soa   soa
@@ -87,8 +87,8 @@ type Machine struct {
 	// Resolution scratch for DetectResolve.
 	newDX, newDY []float64
 	resolved     []bool
-	// Per-core candidate buffers for the pruned gather scan.
-	bufs []candBuf
+	// cols views the SoA mirror as the snapshot an index builds from.
+	cols airspace.Columns
 
 	// Telemetry phase marks: per-core cumulative instruction
 	// snapshots taken after each parallel phase when a recorder is
@@ -96,13 +96,6 @@ type Machine struct {
 	marks   []phaseMark
 	markOps []uint64 // len(marks)*Cores snapshots
 	marksOn bool
-}
-
-// candBuf is one modeled core's candidate buffer, padded against false
-// sharing of the slice headers.
-type candBuf struct {
-	cand []int32
-	_    [40]byte
 }
 
 // phaseMark names one parallel phase; its per-core cumulative
@@ -131,10 +124,10 @@ func New(p Profile) *Machine {
 // Name returns the machine name.
 func (m *Machine) Name() string { return m.prof.Name }
 
-// SetPairSource installs a broadphase pair source for the Tasks 2-3
+// SetPairSource installs a broadphase index for the Tasks 2-3
 // scan (nil restores the all-pairs lane sweep). Pruned scans walk the
 // candidate list through gather loads instead of contiguous blocks.
-func (m *Machine) SetPairSource(src broadphase.PairSource) { m.src = src }
+func (m *Machine) SetPairSource(idx broadphase.Index) { m.idx = idx }
 
 // SetWorkers pins the host worker count that executes the modeled
 // cores (n <= 0 restores the process-default pool). The per-core
@@ -545,9 +538,6 @@ func (m *Machine) DetectResolve(w *airspace.World) (tasks.DetectStats, time.Dura
 	if cap(m.resolved) < n {
 		m.resolved = make([]bool, n)
 	}
-	if len(m.bufs) < m.prof.Cores {
-		m.bufs = make([]candBuf, m.prof.Cores)
-	}
 	newDX, newDY := m.newDX, m.newDY
 	resolved := m.resolved[:n]
 	copy(newDX, s.dx)
@@ -556,41 +546,23 @@ func (m *Machine) DetectResolve(w *airspace.World) (tasks.DetectStats, time.Dura
 		resolved[i] = false
 	}
 
-	// Broadphase index build, charged as one lane-blocked phase. An
-	// incremental source builds from the machine's SoA mirror (viewed
-	// as airspace.Columns — same backing arrays, no copy) and reports
-	// update vs rebuild in the phase name; the charge is identical in
-	// both modes, as bit-identity requires.
-	if m.src != nil {
-		name := "index"
-		if im := broadphase.MaintainerOf(m.src); im != nil && im.Incremental() {
-			if cp, ok := im.(broadphase.ColumnsPreparer); ok {
-				cols := airspace.Columns{X: s.x, Y: s.y, DX: s.dx, DY: s.dy, Alt: s.alt}
-				cp.PrepareColumns(&cols)
-			} else {
-				m.src.Prepare(w)
-			}
-			if im.LastPrepareIncremental() {
-				name = "index.update"
-			} else {
-				name = "index.rebuild"
-			}
-		} else {
-			m.src.Prepare(w)
-		}
-		m.parallel(t, name, 0, n, func(core, lo, hi int) {
+	// Broadphase index build from the machine's SoA mirror (viewed as
+	// airspace.Columns — same backing arrays, no copy) on the host pool,
+	// charged as one lane-blocked phase whatever the index. nil is the
+	// all-pairs scan.
+	var tab *broadphase.PairTable
+	if m.idx != nil {
+		m.cols = airspace.Columns{X: s.x, Y: s.y, DX: s.dx, DY: s.dy, Alt: s.alt}
+		tab = m.idx.Build(&m.cols, parexec.Resolve(m.pool))
+		m.parallel(t, "index", 0, n, func(core, lo, hi int) {
 			t.vecInstr[core] += uint64((hi-lo+Lanes-1)/Lanes) * viIndex
 		})
 	}
-
-	// A sharded source additionally materializes the candidate table on
-	// the host pool; the gather scans then serve from it bit-identically
-	// (candidate sets depend only on positions and speeds, which
-	// resolution's rotations preserve), with the same modeled charge.
-	var tab *broadphase.PairTable
-	if ts := broadphase.TableOf(m.src); ts != nil {
-		ts.SetPool(parexec.Resolve(m.pool))
-		tab = ts.PrepareTable()
+	// With an index installed every pair block is charged as a gather
+	// from a candidate list, the all-pairs oracle's included.
+	blockCost := uint64(viPair)
+	if m.idx != nil {
+		blockCost += viGather
 	}
 
 	var conflicts, rotations, resolvedCount, unresolvedCount, pairChecks int64
@@ -611,12 +583,12 @@ func (m *Machine) DetectResolve(w *airspace.World) (tasks.DetectStats, time.Dura
 
 	// scan evaluates one candidate course for track i in lane blocks:
 	// contiguous loads over the whole database, or gather loads over the
-	// broadphase candidate list.
+	// track's candidate row.
 	scan := func(core int, i int, vx, vy float64) (earliest float64, with int32, critical bool) {
 		earliest = airspace.SafeTime
 		with = airspace.NoConflict
 		var vi, checks uint64
-		if m.src == nil {
+		if tab == nil {
 			for base := 0; base < n; base += Lanes {
 				var tx, ty, tdx, tdy, talt block
 				var valid mask
@@ -625,7 +597,7 @@ func (m *Machine) DetectResolve(w *airspace.World) (tasks.DetectStats, time.Dura
 				loadField(&tdx, &valid, s.dx, base, n)
 				loadField(&tdy, &valid, s.dy, base, n)
 				loadField(&talt, &valid, s.alt, base, n)
-				vi += viPair
+				vi += blockCost
 				for l := 0; l < Lanes; l++ {
 					if !valid[l] {
 						continue
@@ -635,20 +607,13 @@ func (m *Machine) DetectResolve(w *airspace.World) (tasks.DetectStats, time.Dura
 				}
 			}
 		} else {
-			var cand []int32
-			if tab != nil {
-				cand = tab.Candidates(i)
-			} else {
-				buf := &m.bufs[core]
-				buf.cand = m.src.AppendCandidates(buf.cand[:0], w, &w.Aircraft[i])
-				cand = buf.cand
-			}
+			cand := tab.Candidates(i)
 			for base := 0; base < len(cand); base += Lanes {
 				end := base + Lanes
 				if end > len(cand) {
 					end = len(cand)
 				}
-				vi += viPair + viGather
+				vi += blockCost
 				for _, p32 := range cand[base:end] {
 					p := int(p32)
 					scanLane(i, p, s.x[p], s.y[p], s.dx[p], s.dy[p], s.alt[p], vx, vy,

@@ -14,8 +14,7 @@
 # Snapshot mode:
 #   scripts/benchdiff.sh snapshot [out.json]
 # runs the hot benchmarks on the current tree only and writes a
-# machine-readable JSON snapshot (ns/op and allocs/op per benchmark,
-# plus the coherent-vs-rebuild and parshard-vs-coherent improvements).
+# machine-readable JSON snapshot (ns/op and allocs/op per benchmark).
 # BENCH_7.json and BENCH_10.json in the repo root are such snapshots.
 #
 # Tunables: BENCH_PATTERN (regexp of benchmarks to run), BENCH_TIME
@@ -29,7 +28,7 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-PATTERN=${BENCH_PATTERN:-'^(BenchmarkCoherent_|BenchmarkParShard_|BenchmarkReference_Task23$|BenchmarkBroadphase_Sweep_10000$|BenchmarkScenario_Generate_)'}
+PATTERN=${BENCH_PATTERN:-'^(BenchmarkParShard_|BenchmarkReference_Task23$|BenchmarkBroadphase_Sweep_10000$|BenchmarkScenario_Generate_)'}
 TIME=${BENCH_TIME:-1s}
 COUNT=${BENCH_COUNT:-3}
 CPU=${BENCH_CPU:-}
@@ -65,19 +64,7 @@ summarize() {
                 printf "    {\"name\": \"%s\", \"ns_per_op\": %.1f, \"allocs_per_op\": %.2f}%s\n", \
                     b, ns[b]/seen[b], al[b]/seen[b], (i < n-1 ? "," : "")
             }
-            printf "  ]"
-            reb = "BenchmarkCoherent_Task23_4000_Rebuild"
-            inc = "BenchmarkCoherent_Task23_4000_Incremental"
-            if ((reb in seen) && (inc in seen)) {
-                r = ns[reb]/seen[reb]; c = ns[inc]/seen[inc]
-                printf ",\n  \"coherent_improvement_pct\": %.1f", (r - c) / r * 100
-            }
-            ps = "BenchmarkParShard_Task23_4000_W8"
-            if ((inc in seen) && (ps in seen)) {
-                c = ns[inc]/seen[inc]; p = ns[ps]/seen[ps]
-                printf ",\n  \"parshard_improvement_pct\": %.1f", (c - p) / c * 100
-            }
-            printf "\n}\n"
+            printf "  ]\n}\n"
         }' "$1" > "$2"
 }
 
