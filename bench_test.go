@@ -209,13 +209,14 @@ func benchBoxPasses(b *testing.B, passes int) {
 	w := airspace.NewWorld(2000, root.Split())
 	f := radar.Generate(w, 0.8, root.Split())
 	wc, fc := &airspace.World{}, &radar.Frame{}
+	corr := tasks.NewCorrelator(nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		w.CloneInto(wc)
 		f.CloneInto(fc)
 		b.StartTimer()
-		tasks.CorrelateN(wc, fc, passes)
+		corr.Correlate(wc, fc, passes)
 	}
 }
 
@@ -228,13 +229,14 @@ func BenchmarkReference_Task1(b *testing.B) {
 	b.ReportAllocs()
 	w, f := benchWorld(benchN)
 	wc, fc := &airspace.World{}, &radar.Frame{}
+	corr := tasks.NewCorrelator(nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		w.CloneInto(wc)
 		f.CloneInto(fc)
 		b.StartTimer()
-		tasks.Correlate(wc, fc)
+		corr.Correlate(wc, fc, tasks.BoxPasses)
 	}
 }
 
@@ -251,8 +253,8 @@ func BenchmarkReference_Task23(b *testing.B) {
 	}
 }
 
-// Host-parallel execution (internal/parexec) — Task 1 through its
-// explicit-pool entry point and the fused Task 2+3 through an all-pairs
+// Host-parallel execution (internal/parexec) — Task 1 through a
+// tasks.Correlator and the fused Task 2+3 through an all-pairs
 // tasks.Detector, at one worker versus every host core, at the
 // mid-sweep and full-capacity points. Results are bit-identical at any
 // worker count (see internal/platform/workers_test.go); only host wall
@@ -260,7 +262,7 @@ func BenchmarkReference_Task23(b *testing.B) {
 func benchParExecTask1(b *testing.B, n, workers int) {
 	b.Helper()
 	b.ReportAllocs()
-	pool := parexec.NewPool(workers)
+	corr := tasks.NewCorrelator(parexec.NewPool(workers))
 	w, f := benchWorld(n)
 	wc, fc := &airspace.World{}, &radar.Frame{}
 	b.ResetTimer()
@@ -269,7 +271,7 @@ func benchParExecTask1(b *testing.B, n, workers int) {
 		w.CloneInto(wc)
 		f.CloneInto(fc)
 		b.StartTimer()
-		tasks.CorrelateExec(wc, fc, pool)
+		corr.Correlate(wc, fc, tasks.BoxPasses)
 	}
 }
 

@@ -235,10 +235,13 @@ type Device struct {
 }
 
 // launchAcc collects one host worker's share of a launch's work
-// account, padded so workers don't share a cache line.
+// account, padded so workers don't share a cache line. th is the
+// worker's thread context, reset for every thread it runs, so a launch
+// never allocates one per thread.
 type launchAcc struct {
 	ops, mem, maxOps, slots, waste uint64
-	_                              [24]byte
+	th                             Thread
+	_                              [40]byte
 }
 
 // NewDevice returns an execution engine for the given profile.
@@ -337,8 +340,9 @@ func (d *Device) Launch(name string, threads int, kernel func(t *Thread)) Kernel
 					if lane%WarpSize == 0 {
 						flushWarp()
 					}
-					th := Thread{ID: id, Block: b, Lane: lane, Worker: worker}
-					kernel(&th)
+					th := &a.th
+					*th = Thread{ID: id, Block: b, Lane: lane, Worker: worker}
+					kernel(th)
 					a.ops += th.ops
 					blockOps += th.ops
 					a.mem += th.mem

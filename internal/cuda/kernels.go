@@ -1,13 +1,11 @@
 package cuda
 
 import (
-	"math"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/airspace"
 	"repro/internal/broadphase"
-	"repro/internal/geom"
 	"repro/internal/parexec"
 	"repro/internal/radar"
 	"repro/internal/tasks"
@@ -66,8 +64,10 @@ type deviceState struct {
 	// the installed index built once for this launch sequence; every
 	// probe serves from it (candidate sets depend only on positions and
 	// speeds, and resolution only rotates courses). nil is the paper's
-	// all-pairs kernel.
-	tab *broadphase.PairTable
+	// all-pairs kernel. scan is the shared Task 2+3 kernel's scratch,
+	// one compaction buffer per host worker.
+	tab  *broadphase.PairTable
+	scan tasks.Scanner
 
 	// Aggregate task counters (atomic).
 	conflicts, rotations, resolvedCount, unresolvedCount, pairChecks int64
@@ -405,8 +405,6 @@ func (e *Engine) prepareDetect(w *airspace.World, res *DetectResult) *deviceStat
 		s.snap.DX[t.ID] = a.DX
 		s.snap.DY[t.ID] = a.DY
 		s.snap.Alt[t.ID] = a.Alt
-		s.newDX[t.ID] = a.DX
-		s.newDY[t.ID] = a.DY
 		s.resolved[t.ID] = 0
 		t.Ops(opsSnapshot)
 		t.Mem(aircraftRecordBytes)
@@ -422,57 +420,19 @@ func (e *Engine) prepareDetect(w *airspace.World, res *DetectResult) *deviceStat
 			t.Mem(16)
 		}))
 	}
+	s.scan.Prepare(n, e.dev.Workers(), s.tab)
 	return s
 }
 
-// scanAcc accumulates one thread's candidate scan: the earliest
-// critical conflict seen so far plus the op-charging tallies. It lives
-// on the scanning thread's stack so the inner fold stays allocation-
-// free at any candidate count.
-type scanAcc struct {
-	earliest float64
-	with     int32
-	checks   int
-	visited  int
-}
-
-// scanOne folds candidate aircraft p into acc for track aircraft i
-// flying course (vx, vy).
-//
-//atm:noalloc
-func (s *deviceState) scanOne(acc *scanAcc, i, p int, vx, vy float64) {
-	acc.visited++
-	if p == i || math.Abs(s.snap.Alt[p]-s.snap.Alt[i]) >= airspace.AltBandFeet {
-		return
-	}
-	acc.checks++
-	tmin, tmax, ok := tasks.PairConflictAt(s.snap.X[i], s.snap.Y[i], vx, vy,
-		s.snap.X[p], s.snap.Y[p], s.snap.DX[p], s.snap.DY[p])
-	if ok && tmin < tmax && tmin < acc.earliest {
-		acc.earliest = tmin
-		acc.with = int32(p)
-	}
-}
-
-// scanSnapshot evaluates one candidate course for track aircraft i
-// against the snapshot and returns the earliest critical conflict.
+// charge books one thread's share of kernel scans: every pair check
+// costs Equations 1-6, every candidate the filter rejected costs its
+// compare, and every rotation probe costs the velocity rotation.
 //
 //atm:noalloc
 //atm:allow atomic -- pairChecks is an order-independent sum read only after the launch barrier
-func (s *deviceState) scanSnapshot(t *Thread, i int, vx, vy float64) (earliest float64, with int32, critical bool) {
-	acc := scanAcc{earliest: airspace.SafeTime, with: airspace.NoConflict}
-	if s.tab == nil {
-		for p := 0; p < s.snap.N(); p++ {
-			s.scanOne(&acc, i, p, vx, vy)
-		}
-	} else {
-		for _, p := range s.tab.Candidates(i) {
-			s.scanOne(&acc, i, int(p), vx, vy)
-		}
-	}
-	t.Ops(acc.checks*opsPairCheck + (acc.visited - acc.checks)) // skipped pairs still cost the filter compare
-	atomic.AddInt64(&s.pairChecks, int64(acc.checks))
-	return acc.earliest, acc.with, acc.earliest < airspace.CriticalTime
+func (s *deviceState) charge(t *Thread, checks, visited, rotations int) {
+	t.Ops(checks*opsPairCheck + (visited - checks) + rotations*opsRotate)
+	atomic.AddInt64(&s.pairChecks, int64(checks))
 }
 
 // detectResolveKernel runs the fused (or detection-only) kernel body.
@@ -489,18 +449,18 @@ func (e *Engine) detectResolveKernel(w *airspace.World, s *deviceState, res *Det
 		i := t.ID
 		a := &ac[i]
 		a.ResetConflict()
-		tmin, with, critical := s.scanSnapshot(t, i, s.snap.DX[i], s.snap.DY[i])
-		if !critical {
+		r := s.scan.Scan(&s.snap, s.tab, t.Worker, i, s.snap.DX[i], s.snap.DY[i])
+		s.charge(t, int(r.Checks), int(r.Visited), 0)
+		if !(r.TMin < airspace.CriticalTime) {
 			return
 		}
 		atomic.AddInt64(&s.conflicts, 1)
 		a.Col = true
-		a.ColWith = with
-		a.TimeTill = tmin
-		if !resolve {
-			return
+		a.ColWith = r.With
+		a.TimeTill = r.TMin
+		if resolve {
+			s.resolve(t, i, a)
 		}
-		s.resolveTrack(t, e, i, a)
 	}))
 }
 
@@ -508,41 +468,29 @@ func (e *Engine) detectResolveKernel(w *airspace.World, s *deviceState, res *Det
 func (e *Engine) resolveKernel(w *airspace.World, s *deviceState, res *DetectResult) {
 	ac := w.Aircraft
 	res.add(e.dev.Launch("collisionResolve", w.N(), func(t *Thread) {
-		a := &ac[t.ID]
-		if !a.Col {
-			return
+		if a := &ac[t.ID]; a.Col {
+			s.resolve(t, t.ID, a)
 		}
-		s.resolveTrack(t, e, t.ID, a)
 	}))
 }
 
-// resolveTrack probes the rotation schedule for one aircraft.
+// resolve runs the shared snapshot resolve for flagged aircraft i and
+// books its proposed course and counts.
 //
 //atm:noalloc
 //atm:allow atomic -- rotation/resolution counters are order-independent sums read only after the launch barrier
-func (s *deviceState) resolveTrack(t *Thread, e *Engine, i int, a *airspace.Aircraft) {
-	base := geom.Vec2{X: s.snap.DX[i], Y: s.snap.DY[i]}
-	for _, deg := range rotationSchedule {
-		atomic.AddInt64(&s.rotations, 1)
-		t.Ops(opsRotate)
-		v := base.Rotate(deg)
-		a.BatX, a.BatY = v.X, v.Y
-		tmin, with, critical := s.scanSnapshot(t, i, v.X, v.Y)
-		if !critical {
-			s.newDX[i], s.newDY[i] = v.X, v.Y
-			s.resolved[i] = 1
-			atomic.AddInt64(&s.resolvedCount, 1)
-			return
-		}
-		a.ColWith = with
-		if tmin < a.TimeTill {
-			a.TimeTill = tmin
-		}
+func (s *deviceState) resolve(t *Thread, i int, a *airspace.Aircraft) {
+	r := s.scan.ResolveSnapshot(&s.snap, s.tab, t.Worker, i, a)
+	s.charge(t, r.Checks, r.Visited, r.Rotations)
+	atomic.AddInt64(&s.rotations, int64(r.Rotations))
+	if !r.Resolved {
+		atomic.AddInt64(&s.unresolvedCount, 1)
+		return
 	}
-	atomic.AddInt64(&s.unresolvedCount, 1)
+	s.newDX[i], s.newDY[i] = r.DX, r.DY
+	s.resolved[i] = 1
+	atomic.AddInt64(&s.resolvedCount, 1)
 }
-
-var rotationSchedule = tasks.RotationSchedule()
 
 // commitCourses applies the proposed courses and clears conflict flags
 // for resolved aircraft.

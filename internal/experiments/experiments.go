@@ -523,12 +523,13 @@ func HostPerfTable(cfg Config) (*trace.Dataset, error) {
 
 		for _, workers := range workerCounts {
 			pool := parexec.NewPool(workers)
+			corr := tasks.NewCorrelator(pool)
 			det := tasks.NewDetector(nil, pool)
 			for _, bench := range []struct {
 				name string
 				run  func()
 			}{
-				{"correlate", func() { baseW.CloneInto(&w); baseF.CloneInto(&f); tasks.CorrelateNExec(&w, &f, tasks.BoxPasses, pool) }},
+				{"correlate", func() { baseW.CloneInto(&w); baseF.CloneInto(&f); corr.Correlate(&w, &f, tasks.BoxPasses) }},
 				{"detect", func() { baseW.CloneInto(&w); det.Detect(&w) }},
 				{"detectresolve", func() { baseW.CloneInto(&w); det.DetectResolve(&w) }},
 			} {

@@ -118,10 +118,7 @@ func runDeterminism(pass *Pass) error {
 						pass.Reportf(n.Pos(), "time.%s reads the host wall clock inside a deterministic package; modeled time must derive from operation tallies only (waive with //atm:allow wallclock -- why)", n.Sel.Name)
 					}
 				case "sync":
-					// sync.Pool is exempt: pooled scratch is
-					// content-agnostic, so reuse order cannot leak into
-					// results.
-					if !inParexec && n.Sel.Name != "Pool" && !pass.Dirs.Allowed(RuleSync, n.Pos(), stack) {
+					if !inParexec && !pass.Dirs.Allowed(RuleSync, n.Pos(), stack) {
 						pass.Reportf(n.Pos(), "sync.%s outside internal/parexec: lock acquisition order is scheduler-dependent; use parexec chunking with per-chunk partials (waive with //atm:allow sync -- why)", n.Sel.Name)
 					}
 				case "sync/atomic":

@@ -37,12 +37,8 @@ var safeExternalPkgs = map[string]bool{
 }
 
 // safeExternalFuncs are individually vetted alloc-free stdlib
-// functions, keyed by qualified name. sync.Pool is the repository's
-// steady-state scratch idiom: Get allocates only on pool miss (cold
-// path by construction) and Put stores a pre-boxed pointer.
+// functions, keyed by qualified name.
 var safeExternalFuncs = map[string]bool{
-	"(*sync.Pool).Get":      true,
-	"(*sync.Pool).Put":      true,
 	"(*sync.Mutex).Lock":    true,
 	"(*sync.Mutex).Unlock":  true,
 	"(*sync.Mutex).TryLock": true,

@@ -58,7 +58,7 @@ type holder struct {
 	mu sync.Mutex // want "sync.Mutex outside internal/parexec"
 }
 
-var pool sync.Pool // clean: sync.Pool is exempt (content-agnostic scratch)
+var pool sync.Pool // want "sync.Pool outside internal/parexec"
 
 func atomicAdd(p *int64) {
 	atomic.AddInt64(p, 1) // want "sync/atomic.AddInt64 outside internal/parexec"

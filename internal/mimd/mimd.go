@@ -34,7 +34,6 @@ import (
 
 	"repro/internal/airspace"
 	"repro/internal/broadphase"
-	"repro/internal/geom"
 	"repro/internal/parexec"
 	"repro/internal/radar"
 	"repro/internal/rng"
@@ -139,8 +138,10 @@ type scratch struct {
 	state     []int32
 	matchedBy []int32
 
-	// snap is the committed-course snapshot in column (SoA) form.
+	// snap is the committed-course snapshot in column (SoA) form;
+	// scan is the shared Task 2+3 kernel's scratch.
 	snap         airspace.Columns
+	scan         tasks.Scanner
 	newDX, newDY []float64
 	resolved     []bool
 }
@@ -228,20 +229,21 @@ func (t *workTally) maxOps() uint64 {
 	return m
 }
 
-// parallel runs body(core, lo, hi) over the static contiguous
+// parallel runs body(worker, core, lo, hi) over the static contiguous
 // partition of [0, n) across the modeled cores. The logical cores are
 // multiplexed onto the host worker pool: partitions — and therefore
 // per-core op tallies and the modeled critical path — are fixed by the
 // core count alone, while the host worker count only decides how many
-// cores make real progress at once.
-func (m *Machine) parallel(n int, body func(core, lo, hi int)) {
+// cores make real progress at once. worker is the host worker running
+// the core, for indexing per-worker scratch.
+func (m *Machine) parallel(n int, body func(worker, core, lo, hi int)) {
 	cores := m.prof.Cores
-	parexec.Resolve(m.pool).Run(cores, 1, func(_, clo, chi int) {
+	parexec.Resolve(m.pool).Run(cores, 1, func(worker, clo, chi int) {
 		for c := clo; c < chi; c++ {
 			lo := c * n / cores
 			hi := (c + 1) * n / cores
 			if lo < hi {
-				body(c, lo, hi)
+				body(worker, c, lo, hi)
 			}
 		}
 	})
@@ -314,7 +316,7 @@ func (m *Machine) Track(w *airspace.World, f *radar.Frame) (tasks.CorrelateStats
 	locks := m.scr.locks
 
 	phases++
-	m.parallel(n, func(core, lo, hi int) {
+	m.parallel(n, func(_, core, lo, hi int) {
 		var ops uint64
 		for i := lo; i < hi; i++ {
 			a := &ac[i]
@@ -346,7 +348,7 @@ func (m *Machine) Track(w *airspace.World, f *radar.Frame) (tasks.CorrelateStats
 		}
 		phases++
 		var comparisons, discarded, withdrawn uint64
-		m.parallel(r, func(core, lo, hi int) {
+		m.parallel(r, func(_, core, lo, hi int) {
 			var ops, comps uint64
 			for j := lo; j < hi; j++ {
 				rep := &reps[j]
@@ -414,7 +416,7 @@ func (m *Machine) Track(w *airspace.World, f *radar.Frame) (tasks.CorrelateStats
 
 	// Commit phase.
 	phases++
-	m.parallel(n, func(core, lo, hi int) {
+	m.parallel(n, func(_, core, lo, hi int) {
 		var ops uint64
 		for i := lo; i < hi; i++ {
 			a := &ac[i]
@@ -431,7 +433,7 @@ func (m *Machine) Track(w *airspace.World, f *radar.Frame) (tasks.CorrelateStats
 	m.markPhase(tally, "commit", 0)
 	phases++
 	var matched uint64
-	m.parallel(r, func(core, lo, hi int) {
+	m.parallel(r, func(_, core, lo, hi int) {
 		var ops uint64
 		for j := lo; j < hi; j++ {
 			rep := &reps[j]
@@ -452,7 +454,7 @@ func (m *Machine) Track(w *airspace.World, f *radar.Frame) (tasks.CorrelateStats
 		}
 	}
 	phases++
-	m.parallel(n, func(core, lo, hi int) {
+	m.parallel(n, func(_, core, lo, hi int) {
 		var ops uint64
 		for i := lo; i < hi; i++ {
 			airspace.Wrap(&ac[i])
@@ -492,14 +494,13 @@ func (m *Machine) DetectResolve(w *airspace.World) (tasks.DetectStats, time.Dura
 	resolved := scr.resolved[:n]
 
 	phases++
-	m.parallel(n, func(core, lo, hi int) {
+	m.parallel(n, func(_, core, lo, hi int) {
 		var ops uint64
 		for i := lo; i < hi; i++ {
 			a := &ac[i]
 			snapX[i], snapY[i] = a.X, a.Y
 			snapDX[i], snapDY[i] = a.DX, a.DY
 			snapAlt[i] = a.Alt
-			newDX[i], newDY[i] = a.DX, a.DY
 			resolved[i] = false
 			ops += opsExpected
 		}
@@ -515,89 +516,52 @@ func (m *Machine) DetectResolve(w *airspace.World) (tasks.DetectStats, time.Dura
 	if m.idx != nil {
 		tab = m.idx.Build(&scr.snap, parexec.Resolve(m.pool))
 		phases++
-		m.parallel(n, func(core, lo, hi int) {
+		m.parallel(n, func(_, core, lo, hi int) {
 			tally.ops[core] += uint64(hi-lo) * opsIndexBuild
 		})
 		m.markPhase(tally, "index", 0)
 	}
 
+	scr.scan.Prepare(n, parexec.Resolve(m.pool).Workers(), tab)
 	var conflicts, rotations, resolvedCount, unresolvedCount, pairChecks uint64
-	scanOne := func(i, p int, vx, vy float64, checks *uint64, ops *uint64,
-		earliest *float64, with *int32) {
-		if p == i || math.Abs(snapAlt[p]-snapAlt[i]) >= airspace.AltBandFeet {
-			*ops++
-			return
-		}
-		*checks++
-		tmin, tmax, ok := tasks.PairConflictAt(snapX[i], snapY[i], vx, vy,
-			snapX[p], snapY[p], snapDX[p], snapDY[p])
-		if ok && tmin < tmax && tmin < *earliest {
-			*earliest = tmin
-			*with = int32(p)
-		}
-	}
-	scan := func(i int, vx, vy float64, ops *uint64) (earliest float64, with int32, critical bool) {
-		earliest = airspace.SafeTime
-		with = airspace.NoConflict
-		checks := uint64(0)
-		if tab == nil {
-			for p := 0; p < n; p++ {
-				scanOne(i, p, vx, vy, &checks, ops, &earliest, &with)
-			}
-		} else {
-			for _, p := range tab.Candidates(i) {
-				scanOne(i, int(p), vx, vy, &checks, ops, &earliest, &with)
-			}
-		}
-		*ops += checks * opsPairCheck
-		atomic.AddUint64(&pairChecks, checks)
-		return earliest, with, earliest < airspace.CriticalTime
-	}
-
 	phases++
-	m.parallel(n, func(core, lo, hi int) {
-		var ops uint64
+	m.parallel(n, func(worker, core, lo, hi int) {
+		var checks, visited, rots int
 		for i := lo; i < hi; i++ {
 			a := &ac[i]
 			a.ResetConflict()
-			tmin, with, critical := scan(i, snapDX[i], snapDY[i], &ops)
-			if !critical {
+			r := scr.scan.Scan(&scr.snap, tab, worker, i, snapDX[i], snapDY[i])
+			checks += int(r.Checks)
+			visited += int(r.Visited)
+			if !(r.TMin < airspace.CriticalTime) {
 				continue
 			}
 			atomic.AddUint64(&conflicts, 1)
 			a.Col = true
-			a.ColWith = with
-			a.TimeTill = tmin
-			base := geom.Vec2{X: snapDX[i], Y: snapDY[i]}
-			done := false
-			for _, deg := range tasks.RotationSchedule() {
-				atomic.AddUint64(&rotations, 1)
-				ops += opsRotate
-				v := base.Rotate(deg)
-				a.BatX, a.BatY = v.X, v.Y
-				tmin, with, critical = scan(i, v.X, v.Y, &ops)
-				if !critical {
-					newDX[i], newDY[i] = v.X, v.Y
-					resolved[i] = true
-					atomic.AddUint64(&resolvedCount, 1)
-					done = true
-					break
-				}
-				a.ColWith = with
-				if tmin < a.TimeTill {
-					a.TimeTill = tmin
-				}
-			}
-			if !done {
+			a.ColWith = r.With
+			a.TimeTill = r.TMin
+			res := scr.scan.ResolveSnapshot(&scr.snap, tab, worker, i, a)
+			checks += res.Checks
+			visited += res.Visited
+			rots += res.Rotations
+			if !res.Resolved {
 				atomic.AddUint64(&unresolvedCount, 1)
+				continue
 			}
+			newDX[i], newDY[i] = res.DX, res.DY
+			resolved[i] = true
+			atomic.AddUint64(&resolvedCount, 1)
 		}
-		tally.ops[core] += ops
+		// Every pair check costs Equations 1-6, every candidate the
+		// filter rejected its compare, every probe the rotation.
+		tally.ops[core] += uint64(checks*opsPairCheck + (visited - checks) + rots*opsRotate)
+		atomic.AddUint64(&pairChecks, uint64(checks))
+		atomic.AddUint64(&rotations, uint64(rots))
 	})
 	m.markPhase(tally, "scanresolve", 0)
 
 	phases++
-	m.parallel(n, func(core, lo, hi int) {
+	m.parallel(n, func(_, core, lo, hi int) {
 		var ops uint64
 		for i := lo; i < hi; i++ {
 			ops += opsCommit

@@ -4,30 +4,70 @@ import (
 	"testing"
 
 	"repro/internal/airspace"
+	"repro/internal/broadphase"
 	"repro/internal/radar"
 	"repro/internal/rng"
+	"repro/internal/scenario"
 	"repro/internal/tasks"
 )
 
-// The CUDA, wide-vector and multicore machines all implement Tasks 2-3
-// with the same snapshot discipline (scan a frozen copy of committed
-// courses, write only your own aircraft, commit at a barrier), so on
-// identical traffic they must produce bitwise-identical worlds — three
-// independent implementations cross-checking each other.
+// The CUDA, wide-vector and multicore machines all run Tasks 2-3 with
+// the snapshot discipline (scan a frozen copy of committed courses,
+// write only your own aircraft, commit at a barrier) through the shared
+// kernel in internal/tasks. Each must reproduce the serial scalar
+// specification tasks.DetectResolveSnapshot bit for bit, with and
+// without a pruning index, on uniform and conflict-saturated traffic,
+// at any worker count, and across consecutive passes (so the second
+// pass runs on the first one's commits and a repaired index).
 func TestSnapshotPlatformsAgreeOnDetectResolve(t *testing.T) {
-	base := airspace.NewWorld(700, rng.New(101))
-	names := []string{TitanXPascal, XeonPhi, Xeon16}
-	worlds := make([]*airspace.World, len(names))
-	for i, name := range names {
-		w := base.Clone()
-		MustNew(name, 1).DetectResolve(w)
-		worlds[i] = w
+	dense, err := scenario.ParseSpec("dense:clusters=128,radius=2")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := 1; i < len(worlds); i++ {
-		for j := range worlds[0].Aircraft {
-			if worlds[0].Aircraft[j] != worlds[i].Aircraft[j] {
-				t.Fatalf("aircraft %d differs between %s and %s:\n%+v\n%+v",
-					j, names[0], names[i], worlds[0].Aircraft[j], worlds[i].Aircraft[j])
+	// Uniform traffic commits headings; dense traffic saturates every
+	// rotation probe.
+	traffic := []struct {
+		name     string
+		w        *airspace.World
+		resolves bool
+	}{
+		{"uniform", airspace.NewWorld(700, rng.New(101)), true},
+		{"dense", dense.Generate(700, rng.New(102)), false},
+	}
+	const rounds = 2
+	for _, tr := range traffic {
+		want := make([]*airspace.World, rounds)
+		ref := tr.w.Clone()
+		var resolved, unresolved int
+		for r := range want {
+			st := tasks.DetectResolveSnapshot(ref)
+			resolved += st.Resolved
+			unresolved += st.Unresolved
+			want[r] = ref.Clone()
+		}
+		if tr.resolves && resolved == 0 || !tr.resolves && unresolved == 0 {
+			t.Fatalf("%s: specification resolved %d and left %d unresolved; the test exercises too little",
+				tr.name, resolved, unresolved)
+		}
+		for _, name := range []string{TitanXPascal, Xeon16, XeonPhi} {
+			for _, src := range []string{"", broadphase.SweepName} {
+				for _, workers := range []int{1, 3, 8} {
+					p := MustNew(name, 1)
+					p.(Workered).SetWorkers(workers)
+					if src != "" {
+						p.(PairSourced).SetPairSource(broadphase.MustNew(src))
+					}
+					w := tr.w.Clone()
+					for r := range want {
+						p.DetectResolve(w)
+						for j := range want[r].Aircraft {
+							if want[r].Aircraft[j] != w.Aircraft[j] {
+								t.Fatalf("%s %s src=%q workers=%d pass %d: aircraft %d differs from the specification:\nspec: %+v\ngot:  %+v",
+									tr.name, name, src, workers, r, j, want[r].Aircraft[j], w.Aircraft[j])
+							}
+						}
+					}
+				}
 			}
 		}
 	}

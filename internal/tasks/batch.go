@@ -1,7 +1,15 @@
 // The executable fused Task 2+3 path: the broad-phase candidate table
 // feeding the branch-free batched pair kernel, host-parallel on the
-// parexec engine. tasks.go holds the serial all-pairs specification it
-// reproduces bit for bit, at every worker count and for every index.
+// parexec engine. tasks.go holds the serial all-pairs specifications
+// it reproduces bit for bit, at every worker count and for every index.
+//
+// The kernel has one entry point, Scanner, which owns its scratch. Two
+// disciplines run on it. The Detector below is the specification's
+// in-place discipline (DetectResolve). The CUDA, multicore and
+// wide-vector executors run the snapshot discipline
+// (DetectResolveSnapshot) through Scanner.Scan and
+// Scanner.ResolveSnapshot, keeping their own launch or phase structure
+// and charging their cost models from the counts a scan returns.
 //
 // Candidates come from the broadphase.PairTable the index builds once
 // per invocation; with no index (or the brute oracle, whose table is
@@ -64,15 +72,24 @@ const scanGrain = 32
 // probed for every conflicted aircraft and must not allocate per use.
 var rotationSchedule = RotationSchedule()
 
-// scanResult is one track's scan outcome: the earliest conflict start,
-// the partner that achieved it (first-wins on ties), the number of pair
-// checks performed, and the number of 8-wide batch iterations executed
-// (tail included).
-type scanResult struct {
-	tmin    float64
-	with    int32
-	checks  int32
-	batches int32
+// ScanResult is one kernel scan's outcome: the earliest conflict start
+// below SafeTime (SafeTime if none), the partner that achieved it
+// (first wins on ties; NoConflict if none), the pair checks performed
+// — candidates that survive the self-skip and the altitude band — and
+// the candidates visited, which is the row's length.
+type ScanResult struct {
+	TMin    float64
+	With    int32
+	Checks  int32
+	Visited int32
+}
+
+// batches is the number of kernelBatch-wide iterations (tail included)
+// a scan with this many pair checks executes.
+//
+//atm:inline
+func batches(checks int32) int64 {
+	return int64((checks + kernelBatch - 1) / kernelBatch)
 }
 
 // workerBuf is one worker's index buffer (the kernel's compaction
@@ -83,23 +100,122 @@ type workerBuf struct {
 	_    [40]byte
 }
 
+// Scanner owns the batched kernel's scratch: the identity candidate
+// list that stands in for a nil table (all pairs, every aircraft in
+// index order) and one compaction buffer per host worker. Size it with
+// Prepare before a pass; Scan and ResolveSnapshot may then run
+// concurrently as long as no two concurrent calls share a worker
+// index. A Scanner kept across passes allocates nothing in steady
+// state.
+type Scanner struct {
+	all  []int32
+	keep []workerBuf
+}
+
+// Prepare sizes the scratch for a pass over n aircraft scanning tab
+// (nil: all pairs) on workers host workers. Every compaction buffer
+// holds the longest row, so the kernel never grows one, whichever
+// worker claims whichever track.
+func (s *Scanner) Prepare(n, workers int, tab *broadphase.PairTable) {
+	if tab == nil && len(s.all) != n {
+		if cap(s.all) < n {
+			s.all = make([]int32, n)
+		}
+		s.all = s.all[:n]
+		for i := range s.all {
+			s.all[i] = int32(i)
+		}
+	}
+	if len(s.keep) < workers {
+		s.keep = append(s.keep, make([]workerBuf, workers-len(s.keep))...)
+	}
+	longest := n
+	if tab != nil {
+		longest = 0
+		for i := 0; i < n; i++ {
+			longest = max(longest, int(tab.Start[i+1]-tab.Start[i]))
+		}
+	}
+	for k := range s.keep {
+		if cap(s.keep[k].cand) < longest {
+			s.keep[k].cand = make([]int32, 0, longest+longest/8)
+		}
+	}
+}
+
+// Scan runs the kernel once for the track at index i of c, probing
+// velocity (vx, vy) against its row of tab, on worker's compaction
+// buffer.
+//
+//atm:noalloc
+//atm:noescape
+func (s *Scanner) Scan(c *airspace.Columns, tab *broadphase.PairTable, worker, i int, vx, vy float64) ScanResult {
+	row := s.all
+	if tab != nil {
+		row = tab.Candidates(i)
+	}
+	r := ScanResult{TMin: airspace.SafeTime, With: airspace.NoConflict, Visited: int32(len(row))}
+	buf := &s.keep[worker]
+	buf.cand = scanTableBatch(c, buf.cand, i, c.X[i], c.Y[i], vx, vy, c.Alt[i], row, &r)
+	return r
+}
+
+// Resolution is one snapshot resolve's outcome: the first
+// conflict-free course of the rotation schedule (valid when Resolved),
+// the rotations probed — one kernel scan each — and the pair checks
+// and candidates visited over all of them.
+type Resolution struct {
+	DX, DY    float64
+	Resolved  bool
+	Rotations int
+	Checks    int
+	Visited   int
+}
+
+// ResolveSnapshot runs Task 3 for the conflicted track at index i,
+// whose record is a, under the snapshot discipline: it probes the
+// rotation schedule around the snapshot course (c.DX[i], c.DY[i])
+// against the unchanged snapshot c, records each probe's heading in
+// a.BatX/BatY and each failed probe's conflict on a alone, and
+// returns the first conflict-free course without
+// committing it. It writes only a, so concurrent calls for distinct
+// tracks on distinct workers are race-free.
+//
+//atm:noalloc
+func (s *Scanner) ResolveSnapshot(c *airspace.Columns, tab *broadphase.PairTable, worker, i int, a *airspace.Aircraft) Resolution {
+	var res Resolution
+	base := geom.Vec2{X: c.DX[i], Y: c.DY[i]}
+	for _, deg := range rotationSchedule {
+		res.Rotations++
+		v := base.Rotate(deg)
+		a.BatX, a.BatY = v.X, v.Y
+		r := s.Scan(c, tab, worker, i, v.X, v.Y)
+		res.Checks += int(r.Checks)
+		res.Visited += int(r.Visited)
+		if !(r.TMin < airspace.CriticalTime) {
+			res.DX, res.DY, res.Resolved = v.X, v.Y, true
+			return res
+		}
+		markTrack(a, r.With, r.TMin)
+	}
+	return res
+}
+
 // Detector runs the fused Task 2+3 pass (and Task 2 alone) through
 // one index on one engine pool, and owns every piece of scratch a pass
-// needs: the column snapshot, the identity candidate list, per-track
-// results and envelopes, the dirty list and one compaction buffer per
-// worker. Build it once and keep it across passes — the index's
-// persistent state (the sweep's sorted order) and the scratch then
-// carry over, and a steady-state pass allocates nothing. A Detector is
-// not safe for concurrent use.
+// needs: the column snapshot, the kernel's Scanner, per-track results
+// and envelopes, and the dirty list. Build it once and keep it across
+// passes — the index's persistent state (the sweep's sorted order) and
+// the scratch then carry over, and a steady-state pass allocates
+// nothing. A Detector is not safe for concurrent use.
 type Detector struct {
 	idx     broadphase.Index
 	pool    *parexec.Pool
 	cols    airspace.Columns
-	all     []int32
-	res     []scanResult
+	scan    Scanner
+	res     []ScanResult
 	reach   []float64
 	dirty   []int32
-	keep    []workerBuf
 	job     tableScanJob
 	batches int64
 }
@@ -163,7 +279,7 @@ const kernelBatch = 8
 //atm:noalloc
 //atm:noescape
 //atm:nobce
-func scanTableBatch(c *airspace.Columns, keep []int32, ti int, tx, ty, vx, vy, talt float64, cand []int32, r *scanResult) []int32 {
+func scanTableBatch(c *airspace.Columns, keep []int32, ti int, tx, ty, vx, vy, talt float64, cand []int32, r *ScanResult) []int32 {
 	keep = keep[:0]
 	xs, ys, dxs, dys, alts := c.X, c.Y, c.DX, c.DY, c.Alt
 	n := len(xs)
@@ -176,12 +292,10 @@ func scanTableBatch(c *airspace.Columns, keep []int32, ti int, tx, ty, vx, vy, t
 			keep = append(keep, p)
 		}
 	}
-	nk := len(keep)
-	r.checks += int32(nk)
-	if nk == 0 {
+	r.Checks += int32(len(keep))
+	if len(keep) == 0 {
 		return keep
 	}
-	r.batches += int32((nk + kernelBatch - 1) / kernelBatch)
 	const sep = airspace.SepTotal
 	var blo, bhi [kernelBatch]float64
 	rest := keep
@@ -205,9 +319,9 @@ func scanTableBatch(c *airspace.Columns, keep []int32, ti int, tx, ty, vx, vy, t
 			bhi[l] = min(min(max(x1, x2), max(y1, y2)), airspace.HorizonPeriods)
 		}
 		for l := 0; l < kernelBatch; l++ {
-			if blo[l] < bhi[l] && blo[l] < r.tmin {
-				r.tmin = blo[l]
-				r.with = blk[l]
+			if blo[l] < bhi[l] && blo[l] < r.TMin {
+				r.TMin = blo[l]
+				r.With = blk[l]
 			}
 		}
 		rest = rest[kernelBatch:]
@@ -227,9 +341,9 @@ func scanTableBatch(c *airspace.Columns, keep []int32, ti int, tx, ty, vx, vy, t
 		y2 := (sep - dy) / dvy
 		tlo := max(max(min(x1, x2), min(y1, y2)), 0)
 		thi := min(min(max(x1, x2), max(y1, y2)), airspace.HorizonPeriods)
-		if tlo < thi && tlo < r.tmin {
-			r.tmin = tlo
-			r.with = p
+		if tlo < thi && tlo < r.TMin {
+			r.TMin = tlo
+			r.With = p
 		}
 	}
 	return keep
@@ -244,61 +358,13 @@ func (d *Detector) prepare(w *airspace.World, p *parexec.Pool) *broadphase.PairT
 	if d.idx != nil {
 		tab = d.idx.Build(&d.cols, p)
 	}
-	if tab == nil && len(d.all) != n {
-		if cap(d.all) < n {
-			d.all = make([]int32, n)
-		}
-		d.all = d.all[:n]
-		for i := range d.all {
-			d.all[i] = int32(i)
-		}
-	}
 	if cap(d.res) < n {
-		d.res = make([]scanResult, n)
+		d.res = make([]ScanResult, n)
 		d.reach = make([]float64, n)
 	}
 	d.res, d.reach = d.res[:n], d.reach[:n]
-	if workers := p.Workers(); len(d.keep) < workers {
-		d.keep = append(d.keep, make([]workerBuf, workers-len(d.keep))...)
-	}
-	// Every worker's compaction buffer holds the longest row, so the
-	// kernel never grows one — whichever worker claims whichever chunk.
-	longest := n
-	if tab != nil {
-		longest = 0
-		for i := 0; i < n; i++ {
-			longest = max(longest, int(tab.Start[i+1]-tab.Start[i]))
-		}
-	}
-	for k := range d.keep {
-		if cap(d.keep[k].cand) < longest {
-			d.keep[k].cand = make([]int32, 0, longest+longest/8)
-		}
-	}
+	d.scan.Prepare(n, p.Workers(), tab)
 	return tab
-}
-
-// row returns track i's candidates: its table row, or every aircraft.
-//
-//atm:inline
-func (d *Detector) row(tab *broadphase.PairTable, i int) []int32 {
-	if tab == nil {
-		return d.all
-	}
-	return tab.Candidates(i)
-}
-
-// scanOne runs one full scan of the track at index i with probe
-// velocity (vx, vy) on worker 0's buffer. Probe scans are deliberately
-// never fanned out, so the batch tally cannot depend on worker count.
-//
-//atm:noalloc
-//atm:noescape
-func (d *Detector) scanOne(tab *broadphase.PairTable, i int, vx, vy float64) scanResult {
-	c := &d.cols
-	r := scanResult{tmin: airspace.SafeTime, with: airspace.NoConflict}
-	d.keep[0].cand = scanTableBatch(c, d.keep[0].cand, i, c.X[i], c.Y[i], vx, vy, c.Alt[i], d.row(tab, i), &r)
-	return r
 }
 
 // tableScanJob is the parallel scan phase's persistent body: one chunk
@@ -314,14 +380,11 @@ type tableScanJob struct {
 func (j *tableScanJob) Chunk(worker, lo, hi int) {
 	d := j.d
 	c := &d.cols
-	buf := &d.keep[worker]
 	for i := lo; i < hi; i++ {
 		if j.wantReach {
 			d.reach[i] = broadphase.ReachAt(c.DX[i], c.DY[i])
 		}
-		r := scanResult{tmin: airspace.SafeTime, with: airspace.NoConflict}
-		buf.cand = scanTableBatch(c, buf.cand, i, c.X[i], c.Y[i], c.DX[i], c.DY[i], c.Alt[i], d.row(j.tab, i), &r)
-		d.res[i] = r
+		d.res[i] = d.scan.Scan(c, j.tab, worker, i, c.DX[i], c.DY[i])
 	}
 }
 
@@ -334,24 +397,17 @@ func (d *Detector) Detect(w *airspace.World) DetectStats {
 	var st DetectStats
 	p := parexec.Resolve(d.pool)
 	tab := d.prepare(w, p)
-	if p.Workers() > 1 {
-		d.job = tableScanJob{d: d, tab: tab}
-		p.RunBody(w.N(), scanGrain, &d.job)
-	} else {
-		c := &d.cols
-		for i := range w.Aircraft {
-			d.res[i] = d.scanOne(tab, i, c.DX[i], c.DY[i])
-		}
-	}
+	d.job = tableScanJob{d: d, tab: tab}
+	p.RunBody(w.N(), scanGrain, &d.job)
 	for i := range w.Aircraft {
 		track := &w.Aircraft[i]
 		track.ResetConflict()
 		r := d.res[i]
-		st.PairChecks += int(r.checks)
-		d.batches += int64(r.batches)
-		if r.tmin < airspace.CriticalTime {
+		st.PairChecks += int(r.Checks)
+		d.batches += batches(r.Checks)
+		if r.TMin < airspace.CriticalTime {
 			st.Conflicts++
-			MarkConflict(w, track, r.with, r.tmin)
+			MarkConflict(w, track, r.With, r.TMin)
 		}
 	}
 	return st
@@ -367,31 +423,29 @@ func (d *Detector) DetectResolve(w *airspace.World) DetectStats {
 	var st DetectStats
 	p := parexec.Resolve(d.pool)
 	tab := d.prepare(w, p)
-	if p.Workers() == 1 {
-		for i := range w.Aircraft {
-			d.resolveOne(w, tab, &w.Aircraft[i], &st)
-		}
-		return st
+	// With one worker the specification's in-place order runs directly:
+	// every track is scanned when the replay reaches it.
+	inPlace := p.Workers() == 1
+	if !inPlace {
+		d.job = tableScanJob{d: d, tab: tab, wantReach: true}
+		p.RunBody(w.N(), scanGrain, &d.job)
 	}
-
-	d.job = tableScanJob{d: d, tab: tab, wantReach: true}
-	p.RunBody(w.N(), scanGrain, &d.job)
 
 	dirty := d.dirty[:0]
 	for i := range w.Aircraft {
 		track := &w.Aircraft[i]
 		r := d.res[i]
-		if d.dirtyInteracts(i, dirty) {
-			r = d.scanOne(tab, i, track.DX, track.DY)
+		if inPlace || d.dirtyInteracts(i, dirty) {
+			r = d.scan.Scan(&d.cols, tab, 0, i, track.DX, track.DY)
 		}
 		track.ResetConflict()
-		st.PairChecks += int(r.checks)
-		d.batches += int64(r.batches)
-		if !(r.tmin < airspace.CriticalTime) {
+		st.PairChecks += int(r.Checks)
+		d.batches += batches(r.Checks)
+		if !(r.TMin < airspace.CriticalTime) {
 			continue
 		}
 		st.Conflicts++
-		MarkConflict(w, track, r.with, r.tmin)
+		MarkConflict(w, track, r.With, r.TMin)
 		if d.probe(w, tab, track, &st) {
 			dirty = append(dirty, int32(i))
 		}
@@ -400,26 +454,10 @@ func (d *Detector) DetectResolve(w *airspace.World) DetectStats {
 	return st
 }
 
-// resolveOne is the specification's in-place Algorithm 2 for one track
-// aircraft, on the table and the batched kernel.
-//
-//atm:noalloc
-func (d *Detector) resolveOne(w *airspace.World, tab *broadphase.PairTable, track *airspace.Aircraft, st *DetectStats) {
-	track.ResetConflict()
-	r := d.scanOne(tab, int(track.ID), track.DX, track.DY)
-	st.PairChecks += int(r.checks)
-	d.batches += int64(r.batches)
-	if !(r.tmin < airspace.CriticalTime) {
-		return
-	}
-	st.Conflicts++
-	MarkConflict(w, track, r.with, r.tmin)
-	d.probe(w, tab, track, st)
-}
-
 // probe runs Task 3 for a conflicted track: it tries the rotation
 // schedule in order and commits the first conflict-free heading to the
-// record and the snapshot, reporting whether it found one.
+// record and the snapshot, reporting whether it found one. Like every
+// serial-replay scan it runs on worker 0's buffer.
 //
 //atm:noalloc
 func (d *Detector) probe(w *airspace.World, tab *broadphase.PairTable, track *airspace.Aircraft, st *DetectStats) bool {
@@ -429,17 +467,17 @@ func (d *Detector) probe(w *airspace.World, tab *broadphase.PairTable, track *ai
 		st.Rotations++
 		v := base.Rotate(deg)
 		track.BatX, track.BatY = v.X, v.Y
-		pr := d.scanOne(tab, ti, v.X, v.Y)
-		st.PairChecks += int(pr.checks)
-		d.batches += int64(pr.batches)
-		if !(pr.tmin < airspace.CriticalTime) {
+		pr := d.scan.Scan(&d.cols, tab, 0, ti, v.X, v.Y)
+		st.PairChecks += int(pr.Checks)
+		d.batches += batches(pr.Checks)
+		if !(pr.TMin < airspace.CriticalTime) {
 			track.DX, track.DY = v.X, v.Y
 			d.cols.SetVel(ti, v.X, v.Y)
 			track.ResetConflict()
 			st.Resolved++
 			return true
 		}
-		MarkConflict(w, track, pr.with, pr.tmin)
+		MarkConflict(w, track, pr.With, pr.TMin)
 	}
 	st.Unresolved++
 	return false

@@ -33,15 +33,17 @@ type noallocSpec struct {
 var noallocContract = map[string]noallocSpec{
 	"correlateRadarFallback": {decl: true},
 	"correlateParallel":      {closures: 4}, // expected-pos, box-search, commit, wrap phases
-	// The fused Task 2+3 executor, batch.go: the batched kernel and the
-	// Detector methods a steady-state pass runs. Chunk is tableScanJob's
-	// parallel scan body.
-	"scanTableBatch": {decl: true},
-	"scanOne":        {decl: true},
-	"resolveOne":     {decl: true},
-	"probe":          {decl: true},
-	"dirtyInteracts": {decl: true},
-	"Chunk":          {decl: true},
+	// The fused Task 2+3 kernel, batch.go: the batched kernel, the
+	// Scanner entry points every executor scans through (the Detector
+	// and the CUDA, multicore and wide-vector machines), and the
+	// Detector methods a steady-state pass runs. Chunk is
+	// tableScanJob's parallel scan body.
+	"scanTableBatch":  {decl: true},
+	"Scan":            {decl: true},
+	"ResolveSnapshot": {decl: true},
+	"probe":           {decl: true},
+	"dirtyInteracts":  {decl: true},
+	"Chunk":           {decl: true},
 }
 
 // TestNoallocManifestMatchesDirectives parses this package's sources

@@ -22,8 +22,6 @@
 package tasks
 
 import (
-	"sync"
-
 	"repro/internal/airspace"
 	"repro/internal/parexec"
 	"repro/internal/radar"
@@ -38,8 +36,13 @@ const (
 	elemGrain  = 1024
 )
 
-// corrScratch holds the reusable state of one Correlate invocation.
-type corrScratch struct {
+// Correlator runs Task 1 on one engine pool and owns the parallel
+// path's scratch: per-radar candidate offsets, the withdrawal list and
+// one candidate buffer per worker. Keep one across periods and a
+// steady-state Correlate allocates nothing proportional to the
+// aircraft count. A Correlator is not safe for concurrent use.
+type Correlator struct {
+	pool      *parexec.Pool
 	start     []int32 // per radar: offset into its worker's buffer, -1 = no list
 	length    []int32
 	owner     []int32
@@ -47,49 +50,42 @@ type corrScratch struct {
 	bufs      []workerBuf
 }
 
-var corrScratchPool sync.Pool
-
-func getCorrScratch(nr, workers int) *corrScratch {
-	sc, _ := corrScratchPool.Get().(*corrScratch)
-	if sc == nil {
-		sc = &corrScratch{}
-	}
-	if cap(sc.start) < nr {
-		sc.start = make([]int32, nr)
-		sc.length = make([]int32, nr)
-		sc.owner = make([]int32, nr)
-	}
-	sc.start = sc.start[:nr]
-	sc.length = sc.length[:nr]
-	sc.owner = sc.owner[:nr]
-	if len(sc.bufs) < workers {
-		sc.bufs = append(sc.bufs[:cap(sc.bufs)], make([]workerBuf, workers-cap(sc.bufs))...)
-	}
-	return sc
+// NewCorrelator returns a correlator on pool (nil: the process default
+// at each call).
+func NewCorrelator(pool *parexec.Pool) *Correlator {
+	return &Correlator{pool: pool}
 }
 
-func putCorrScratch(sc *corrScratch) { corrScratchPool.Put(sc) }
-
-// CorrelateExec is Correlate on an explicit engine pool; nil means the
-// process default.
-func CorrelateExec(w *airspace.World, f *radar.Frame, pool *parexec.Pool) CorrelateStats {
-	return CorrelateNExec(w, f, BoxPasses, pool)
-}
-
-// CorrelateNExec is CorrelateN on an explicit engine pool; nil means
-// the process default. Results are identical at any worker count.
-func CorrelateNExec(w *airspace.World, f *radar.Frame, passes int, pool *parexec.Pool) CorrelateStats {
+// Correlate is CorrelateN on the correlator's pool. Results are
+// identical at any worker count.
+func (c *Correlator) Correlate(w *airspace.World, f *radar.Frame, passes int) CorrelateStats {
 	if passes < 1 {
 		panic("tasks: CorrelateN needs at least one pass")
 	}
-	p := parexec.Resolve(pool)
+	p := parexec.Resolve(c.pool)
 	var st CorrelateStats
 	if p.Workers() == 1 {
 		correlateSerial(w, f, passes, &st)
 		return st
 	}
-	correlateParallel(w, f, passes, p, &st)
+	c.prepare(len(f.Reports), p.Workers())
+	c.correlateParallel(w, f, passes, p, &st)
 	return st
+}
+
+// prepare sizes the scratch for nr radars on workers workers.
+func (c *Correlator) prepare(nr, workers int) {
+	if cap(c.start) < nr {
+		c.start = make([]int32, nr)
+		c.length = make([]int32, nr)
+		c.owner = make([]int32, nr)
+	}
+	c.start = c.start[:nr]
+	c.length = c.length[:nr]
+	c.owner = c.owner[:nr]
+	if len(c.bufs) < workers {
+		c.bufs = append(c.bufs, make([]workerBuf, workers-len(c.bufs))...)
+	}
 }
 
 // correlateParallel is Task 1 with the per-pass bounding-box search
@@ -97,11 +93,9 @@ func CorrelateNExec(w *airspace.World, f *radar.Frame, passes int, pool *parexec
 // machine (see the file comment for the exactness argument).
 //
 //atm:ordered-merge
-func correlateParallel(w *airspace.World, f *radar.Frame, passes int, p *parexec.Pool, st *CorrelateStats) {
+func (c *Correlator) correlateParallel(w *airspace.World, f *radar.Frame, passes int, p *parexec.Pool, st *CorrelateStats) {
 	n := w.N()
 	nr := len(f.Reports)
-	sc := getCorrScratch(nr, p.Workers())
-	defer putCorrScratch(sc)
 
 	//atm:noalloc
 	p.Run(n, elemGrain, func(_, lo, hi int) {
@@ -114,7 +108,7 @@ func correlateParallel(w *airspace.World, f *radar.Frame, passes int, p *parexec
 	})
 	f.Reset()
 
-	withdrawn := sc.withdrawn[:0]
+	withdrawn := c.withdrawn[:0]
 	boxHalf := InitialBoxHalf
 	for pass := 0; pass < passes; pass++ {
 		pending := 0
@@ -135,16 +129,16 @@ func correlateParallel(w *airspace.World, f *radar.Frame, passes int, p *parexec
 		// size are fixed for the whole pass, so the lists cannot go
 		// stale; eligibility (withdrawals, earlier matches) is dynamic
 		// and left to the replay.
-		for wk := range sc.bufs {
-			sc.bufs[wk].cand = sc.bufs[wk].cand[:0]
+		for wk := range c.bufs {
+			c.bufs[wk].cand = c.bufs[wk].cand[:0]
 		}
 		//atm:noalloc
 		p.Run(nr, radarGrain, func(worker, lo, hi int) {
-			buf := sc.bufs[worker].cand
+			buf := c.bufs[worker].cand
 			for j := lo; j < hi; j++ {
 				rep := &f.Reports[j]
 				if rep.MatchWith != radar.Unmatched {
-					sc.start[j] = -1
+					c.start[j] = -1
 					continue
 				}
 				s := int32(len(buf))
@@ -153,11 +147,11 @@ func correlateParallel(w *airspace.World, f *radar.Frame, passes int, p *parexec
 						buf = append(buf, int32(q))
 					}
 				}
-				sc.start[j] = s
-				sc.length[j] = int32(len(buf)) - s
-				sc.owner[j] = int32(worker)
+				c.start[j] = s
+				c.length[j] = int32(len(buf)) - s
+				c.owner[j] = int32(worker)
 			}
-			sc.bufs[worker].cand = buf
+			c.bufs[worker].cand = buf
 		})
 
 		// Serial replay in radar-index order.
@@ -166,14 +160,14 @@ func correlateParallel(w *airspace.World, f *radar.Frame, passes int, p *parexec
 			if rep.MatchWith != radar.Unmatched {
 				continue
 			}
-			if sc.start[j] < 0 {
+			if c.start[j] < 0 {
 				// Released mid-pass by a withdrawal: no precomputed
 				// list, run the reference inner loop.
 				correlateRadarFallback(w, f, rep, boxHalf, st, &withdrawn)
 				continue
 			}
 			priorWithdrawn := len(withdrawn)
-			cand := sc.bufs[sc.owner[j]].cand[sc.start[j] : sc.start[j]+sc.length[j]]
+			cand := c.bufs[c.owner[j]].cand[c.start[j] : c.start[j]+c.length[j]]
 			broke := int32(-1)
 			for _, q := range cand {
 				a := &w.Aircraft[q]
@@ -221,7 +215,7 @@ func correlateParallel(w *airspace.World, f *radar.Frame, passes int, p *parexec
 		}
 		boxHalf *= 2
 	}
-	sc.withdrawn = withdrawn[:0]
+	c.withdrawn = withdrawn[:0]
 
 	// Commit (line 12) and field re-entry, with the element-wise
 	// aircraft loops fanned out and the radar loop serial.

@@ -76,7 +76,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 		// post-Task-1 state before DetectResolve mutates refW further.
 		refW := base.Clone()
 		refF := frame.Clone()
-		corrRef := CorrelateNExec(refW, refF, passes, serial)
+		corrRef := NewCorrelator(serial).Correlate(refW, refF, passes)
 		corrW := refW.Clone()
 		refDetW := refW.Clone()
 		detRef := Detect(refDetW)
@@ -86,7 +86,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 		for pi, p := range pools {
 			gotW := base.Clone()
 			gotF := frame.Clone()
-			corr := CorrelateNExec(gotW, gotF, passes, p)
+			corr := NewCorrelator(p).Correlate(gotW, gotF, passes)
 			tag := func(task string) string {
 				return task + " (trial " + itoa(trial) + ", n " + itoa(n) + ", src " + srcName +
 					", passes " + itoa(passes) + ", workers " + itoa(p.Workers()) + ")"
@@ -150,14 +150,14 @@ func TestParallelMatchesSerialDense(t *testing.T) {
 	frame := radar.Generate(noisy, 2.5, rng.New(18))
 	refW := noisy.Clone()
 	refF := frame.Clone()
-	corrRef := CorrelateExec(refW, refF, serial)
+	corrRef := NewCorrelator(serial).Correlate(refW, refF, BoxPasses)
 	if corrRef.WithdrawnAircraft == 0 || corrRef.DiscardedRadars == 0 {
 		t.Fatalf("noisy frame produced no contention (stats %+v); test exercises nothing", corrRef)
 	}
 	for _, p := range pools[1:] {
 		gotW := noisy.Clone()
 		gotF := frame.Clone()
-		corr := CorrelateExec(gotW, gotF, p)
+		corr := NewCorrelator(p).Correlate(gotW, gotF, BoxPasses)
 		if corr != corrRef {
 			t.Fatalf("workers=%d: stats diverged:\nserial:   %+v\nparallel: %+v", p.Workers(), corrRef, corr)
 		}
@@ -184,8 +184,8 @@ func itoa(v int) string {
 // the hot paths. After a warm-up pass, a Detector's fused all-pairs
 // pass and its table passes (every index) allocate nothing at any
 // worker count: the detector owns all of its scratch, so the property
-// holds however the garbage collector behaves. Correlate allocates
-// nothing on the serial path and at most a handful of fixed-size
+// holds however the garbage collector behaves. A kept Correlator
+// allocates nothing on the serial path and only its fixed-size
 // dispatch closures on the parallel path — never anything proportional
 // to the aircraft count.
 //
@@ -218,15 +218,18 @@ func TestExecZeroAllocSteadyState(t *testing.T) {
 			}
 		}
 
-		// The parallel Correlate allocates one closure per Run dispatch
-		// (phase bodies capture per-invocation state); that is a small
-		// constant per period, independent of n.
-		limit := 0.5
+		// The Correlator owns its scratch, so the serial path allocates
+		// nothing and the parallel path only one closure per phase it
+		// dispatches (bodies capture per-invocation state): expected
+		// positions, up to BoxPasses box passes, commit and wrap. That
+		// is a constant per period, independent of n.
+		limit := 0.0
 		if workers > 1 {
-			limit = 12
+			limit = 3 + BoxPasses
 		}
 		w, f := base.Clone(), frame.Clone()
-		correlate := func() { CorrelateExec(w, f, p) }
+		corr := NewCorrelator(p)
+		correlate := func() { corr.Correlate(w, f, BoxPasses) }
 		correlate()
 		if avg := testing.AllocsPerRun(10, correlate); avg > limit {
 			t.Errorf("workers=%d: %.1f allocs per Correlate, want <= %.1f", workers, avg, limit)

@@ -65,16 +65,17 @@ type CorrelateStats struct {
 // correlation of Algorithm 1, commits matched radar positions (aircraft
 // without a valid match keep their expected position), and applies the
 // field re-entry rule. The frame's MatchWith fields are updated in
-// place.
+// place. It runs on a fresh Correlator, so its scratch is allocated per
+// call; a per-period caller keeps a Correlator instead.
 func Correlate(w *airspace.World, f *radar.Frame) CorrelateStats {
-	return CorrelateNExec(w, f, BoxPasses, nil)
+	return NewCorrelator(nil).Correlate(w, f, BoxPasses)
 }
 
 // CorrelateN is Correlate with a configurable number of bounding-box
 // passes (1 to say "no doubling"), used by the A-BOX ablation. passes
 // must be >= 1; each pass doubles the previous box.
 func CorrelateN(w *airspace.World, f *radar.Frame, passes int) CorrelateStats {
-	return CorrelateNExec(w, f, passes, nil)
+	return NewCorrelator(nil).Correlate(w, f, passes)
 }
 
 // correlateSerial is the sequential reference body of CorrelateN; the
@@ -278,10 +279,33 @@ type DetectStats struct {
 // changes, outside these tasks).
 //
 // This is the serial all-pairs specification of Algorithm 2, written
-// for reading: every executor — the Detector in batch.go and each
-// platform model — is tested against it.
-func DetectResolve(w *airspace.World) DetectStats {
+// for reading: the Detector in batch.go and the associative programs
+// are tested against it.
+func DetectResolve(w *airspace.World) DetectStats { return detectResolve(w, false) }
+
+// DetectResolveSnapshot is the serial all-pairs specification of the
+// snapshot discipline the CUDA, multicore and wide-vector executors
+// run. Every track scans and probes against the courses committed
+// before the pass and writes only its own record: a conflict is marked
+// on the track alone, and resolved courses are committed together at
+// the end. Two mutually conflicting aircraft therefore both maneuver
+// relative to each other's old course, where DetectResolve lets the
+// later one see the earlier one's fix.
+func DetectResolveSnapshot(w *airspace.World) DetectStats { return detectResolve(w, true) }
+
+// detectResolve is Algorithm 2 under either discipline; the two differ
+// only where snapshot is tested. Scanning the live world is scanning
+// the snapshot, because under the snapshot discipline nothing a scan
+// reads changes before the final commit.
+func detectResolve(w *airspace.World, snapshot bool) DetectStats {
 	var st DetectStats
+	mark := MarkConflict
+	if snapshot {
+		mark = func(_ *airspace.World, track *airspace.Aircraft, with int32, tmin float64) {
+			markTrack(track, with, tmin)
+		}
+	}
+	var commits []int
 	for i := range w.Aircraft {
 		track := &w.Aircraft[i]
 		track.ResetConflict()
@@ -290,7 +314,7 @@ func DetectResolve(w *airspace.World) DetectStats {
 			continue
 		}
 		st.Conflicts++
-		MarkConflict(w, track, with, tmin)
+		mark(w, track, with, tmin)
 
 		base := geom.Vec2{X: track.DX, Y: track.DY}
 		resolved := false
@@ -300,17 +324,26 @@ func DetectResolve(w *airspace.World) DetectStats {
 			track.BatX, track.BatY = v.X, v.Y
 			tmin, with = scan(w, track, v.X, v.Y, &st)
 			if !(tmin < airspace.CriticalTime) {
-				track.DX, track.DY = v.X, v.Y
-				track.ResetConflict()
 				st.Resolved++
 				resolved = true
+				if snapshot {
+					commits = append(commits, i)
+				} else {
+					track.DX, track.DY = v.X, v.Y
+					track.ResetConflict()
+				}
 				break
 			}
-			MarkConflict(w, track, with, tmin)
+			mark(w, track, with, tmin)
 		}
 		if !resolved {
 			st.Unresolved++
 		}
+	}
+	for _, i := range commits {
+		a := &w.Aircraft[i]
+		a.DX, a.DY = a.BatX, a.BatY // the resolving probe's heading
+		a.ResetConflict()
 	}
 	return st
 }
@@ -357,21 +390,21 @@ func scan(w *airspace.World, track *airspace.Aircraft, vx, vy float64, st *Detec
 // MarkConflict records a critical conflict on the track aircraft and
 // mirrors it onto the trial aircraft, as Algorithm 2 line 9 sets col and
 // colWith "for both trial and track aircrafts". It is shared by the
-// platform implementations whose control flow is sequential (the
-// associative and multicore machines).
+// in-place executors (the Detector and the associative machine).
 func MarkConflict(w *airspace.World, track *airspace.Aircraft, with int32, tmin float64) {
-	track.Col = true
-	track.ColWith = with
-	if tmin < track.TimeTill {
-		track.TimeTill = tmin
-	}
+	markTrack(track, with, tmin)
 	if with != airspace.NoConflict {
-		other := &w.Aircraft[with]
-		other.Col = true
-		other.ColWith = track.ID
-		if tmin < other.TimeTill {
-			other.TimeTill = tmin
-		}
+		markTrack(&w.Aircraft[with], track.ID, tmin)
+	}
+}
+
+// markTrack records a critical conflict with partner with, starting at
+// tmin, on one aircraft's record.
+func markTrack(a *airspace.Aircraft, with int32, tmin float64) {
+	a.Col = true
+	a.ColWith = with
+	if tmin < a.TimeTill {
+		a.TimeTill = tmin
 	}
 }
 

@@ -4,10 +4,11 @@
 // efficient, vector-based parallel computation" [8, 9].
 //
 // The machine is a many-core CPU whose cores each execute W-lane SIMD
-// instructions. The ATM tasks are written here in explicitly
-// lane-blocked form — the aircraft database is scanned eight records at
-// a time through mask registers, exactly as a vectorizing port of the
-// CUDA kernels would be — and every vector instruction is counted. The
+// instructions. Task 1 is written here in explicitly lane-blocked form
+// — the aircraft database is scanned eight records at a time through
+// mask registers, exactly as a vectorizing port of the CUDA kernels
+// would be; Tasks 2-3 run the shared batched kernel, whose pair blocks
+// are eight lanes wide too — and every vector instruction is counted. The
 // cost model charges the per-core critical path of vector instructions
 // at the profile's issue rate, plus a barrier per parallel phase. No
 // OS-jitter term is modeled: the package answers the paper's question
@@ -19,13 +20,11 @@ package vector
 
 import (
 	"fmt"
-	"math"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/airspace"
 	"repro/internal/broadphase"
-	"repro/internal/geom"
 	"repro/internal/parexec"
 	"repro/internal/radar"
 	"repro/internal/tasks"
@@ -87,8 +86,8 @@ type Machine struct {
 	// Resolution scratch for DetectResolve.
 	newDX, newDY []float64
 	resolved     []bool
-	// cols views the SoA mirror as the snapshot an index builds from.
-	cols airspace.Columns
+	// scan is the shared Task 2+3 kernel's scratch.
+	scan tasks.Scanner
 
 	// Telemetry phase marks: per-core cumulative instruction
 	// snapshots taken after each parallel phase when a recorder is
@@ -151,16 +150,6 @@ type block [Lanes]float64
 // mask is one W-lane predicate register.
 type mask [Lanes]bool
 
-// none reports whether no lane is set.
-func (k *mask) none() bool {
-	for _, b := range k {
-		if b {
-			return false
-		}
-	}
-	return true
-}
-
 // count returns the number of set lanes.
 func (k *mask) count() int {
 	c := 0
@@ -187,12 +176,13 @@ func loadField(dst *block, valid *mask, src []float64, base, n int) {
 }
 
 // soa is the structure-of-arrays mirror of the aircraft database that
-// vector code operates on (vector units need contiguous fields).
+// vector code operates on (vector units need contiguous fields). Its
+// columns double as the Task 2+3 snapshot the shared kernel scans and
+// an index builds from.
 type soa struct {
-	n                 int
-	x, y, dx, dy, alt []float64
-	expX, expY        []float64
-	rmatch            []int32
+	airspace.Columns
+	expX, expY []float64
+	rmatch     []int32
 }
 
 func growF(s []float64, n int) []float64 {
@@ -207,21 +197,12 @@ func growF(s []float64, n int) []float64 {
 func (m *Machine) loadSOA(w *airspace.World) *soa {
 	n := w.N()
 	s := &m.soa
-	s.n = n
-	s.x, s.y = growF(s.x, n), growF(s.y, n)
-	s.dx, s.dy = growF(s.dx, n), growF(s.dy, n)
-	s.alt = growF(s.alt, n)
+	s.FillFrom(w)
 	s.expX, s.expY = growF(s.expX, n), growF(s.expY, n)
 	if cap(s.rmatch) < n {
 		s.rmatch = make([]int32, n)
 	}
 	s.rmatch = s.rmatch[:n]
-	for i := range w.Aircraft {
-		a := &w.Aircraft[i]
-		s.x[i], s.y[i] = a.X, a.Y
-		s.dx[i], s.dy[i] = a.DX, a.DY
-		s.alt[i] = a.Alt
-	}
 	return s
 }
 
@@ -249,16 +230,17 @@ func (t *tally) max() uint64 {
 // contiguous partition, multiplexing the logical cores onto the host
 // worker pool. Partitions — and so per-core instruction tallies and
 // the modeled critical path — depend only on the core count; the host
-// worker count affects wall-clock speed alone.
-func (m *Machine) parallel(t *tally, name string, arg int32, n int, body func(core, lo, hi int)) {
+// worker count affects wall-clock speed alone. body receives the host
+// worker running the core, for indexing per-worker scratch.
+func (m *Machine) parallel(t *tally, name string, arg int32, n int, body func(worker, core, lo, hi int)) {
 	t.phases++
 	cores := m.prof.Cores
-	parexec.Resolve(m.pool).Run(cores, 1, func(_, clo, chi int) {
+	parexec.Resolve(m.pool).Run(cores, 1, func(worker, clo, chi int) {
 		for c := clo; c < chi; c++ {
 			lo := c * n / cores
 			hi := (c + 1) * n / cores
 			if lo < hi {
-				body(c, lo, hi)
+				body(worker, c, lo, hi)
 			}
 		}
 	})
@@ -319,10 +301,10 @@ func (m *Machine) Track(w *airspace.World, f *radar.Frame) (tasks.CorrelateStats
 	s := m.loadSOA(w)
 	t := m.newTally()
 	reps := f.Reports
-	n := s.n
+	n := s.N()
 
 	// Expected positions: pure vector adds over the whole database.
-	m.parallel(t, "expected", 0, n, func(core, lo, hi int) {
+	m.parallel(t, "expected", 0, n, func(_, core, lo, hi int) {
 		var vi uint64
 		for base := lo; base < hi; base += Lanes {
 			end := base + Lanes
@@ -330,8 +312,8 @@ func (m *Machine) Track(w *airspace.World, f *radar.Frame) (tasks.CorrelateStats
 				end = hi
 			}
 			for i := base; i < end; i++ {
-				s.expX[i] = s.x[i] + s.dx[i]
-				s.expY[i] = s.y[i] + s.dy[i]
+				s.expX[i] = s.X[i] + s.DX[i]
+				s.expY[i] = s.Y[i] + s.DY[i]
 				s.rmatch[i] = 0
 			}
 			vi += viExpected
@@ -372,7 +354,7 @@ func (m *Machine) Track(w *airspace.World, f *radar.Frame) (tasks.CorrelateStats
 
 		// Census: every still-unmatched radar scans the database in
 		// lane blocks. Match state is frozen for the whole phase.
-		m.parallel(t, "census", int32(pass), len(reps), func(core, lo, hi int) {
+		m.parallel(t, "census", int32(pass), len(reps), func(_, core, lo, hi int) {
 			var vi, comps uint64
 			for j := lo; j < hi; j++ {
 				rep := &reps[j]
@@ -417,7 +399,7 @@ func (m *Machine) Track(w *airspace.World, f *radar.Frame) (tasks.CorrelateStats
 
 		// Claim: ambiguous radars are discarded; unique candidates are
 		// claimed with a commutative counter.
-		m.parallel(t, "claim", int32(pass), len(reps), func(core, lo, hi int) {
+		m.parallel(t, "claim", int32(pass), len(reps), func(_, core, lo, hi int) {
 			var vi uint64
 			for j := lo; j < hi; j++ {
 				rep := &reps[j]
@@ -437,7 +419,7 @@ func (m *Machine) Track(w *airspace.World, f *radar.Frame) (tasks.CorrelateStats
 		})
 
 		// Arbitrate: contested aircraft are withdrawn.
-		m.parallel(t, "arbitrate", int32(pass), n, func(core, lo, hi int) {
+		m.parallel(t, "arbitrate", int32(pass), n, func(_, core, lo, hi int) {
 			var vi uint64
 			for i := lo; i < hi; i++ {
 				if i%Lanes == 0 {
@@ -453,7 +435,7 @@ func (m *Machine) Track(w *airspace.World, f *radar.Frame) (tasks.CorrelateStats
 
 		// Finalize: surviving unique claims become matches; clear the
 		// claim counters for the next pass.
-		m.parallel(t, "finalize", int32(pass), len(reps), func(core, lo, hi int) {
+		m.parallel(t, "finalize", int32(pass), len(reps), func(_, core, lo, hi int) {
 			var vi uint64
 			for j := lo; j < hi; j++ {
 				rep := &reps[j]
@@ -469,7 +451,7 @@ func (m *Machine) Track(w *airspace.World, f *radar.Frame) (tasks.CorrelateStats
 			}
 			t.vecInstr[core] += vi
 		})
-		m.parallel(t, "clearClaims", int32(pass), n, func(core, lo, hi int) {
+		m.parallel(t, "clearClaims", int32(pass), n, func(_, core, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				acClaims[i] = 0
 			}
@@ -483,7 +465,7 @@ func (m *Machine) Track(w *airspace.World, f *radar.Frame) (tasks.CorrelateStats
 	}
 
 	// Commit.
-	m.parallel(t, "commit", 0, n, func(core, lo, hi int) {
+	m.parallel(t, "commit", 0, n, func(_, core, lo, hi int) {
 		var vi uint64
 		for i := lo; i < hi; i++ {
 			a := &w.Aircraft[i]
@@ -496,7 +478,7 @@ func (m *Machine) Track(w *airspace.World, f *radar.Frame) (tasks.CorrelateStats
 		t.vecInstr[core] += vi
 	})
 	var matched uint64
-	m.parallel(t, "commitRadar", 0, len(reps), func(core, lo, hi int) {
+	m.parallel(t, "commitRadar", 0, len(reps), func(_, core, lo, hi int) {
 		for j := lo; j < hi; j++ {
 			rep := &reps[j]
 			if rep.MatchWith >= 0 && s.rmatch[rep.MatchWith] == 1 {
@@ -513,7 +495,7 @@ func (m *Machine) Track(w *airspace.World, f *radar.Frame) (tasks.CorrelateStats
 			st.UnmatchedRadars++
 		}
 	}
-	m.parallel(t, "wrap", 0, n, func(core, lo, hi int) {
+	m.parallel(t, "wrap", 0, n, func(_, core, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			airspace.Wrap(&w.Aircraft[i])
 		}
@@ -524,15 +506,16 @@ func (m *Machine) Track(w *airspace.World, f *radar.Frame) (tasks.CorrelateStats
 }
 
 // DetectResolve runs Tasks 2-3: each core owns a slice of track
-// aircraft; the inner trial scan evaluates the Batcher window for eight
-// trial aircraft at a time against a pre-kernel snapshot (the same
-// snapshot discipline as the CUDA kernel).
+// aircraft and scans them through the shared kernel against a
+// pre-kernel snapshot (the same snapshot discipline as the CUDA
+// kernel). Every scan is charged as lane blocks of Batcher window
+// evaluations over the track's candidate row.
 //
 //atm:allow atomic -- conflict and rotation tallies are order-independent sums read only after the join
 func (m *Machine) DetectResolve(w *airspace.World) (tasks.DetectStats, time.Duration) {
 	s := m.loadSOA(w)
 	t := m.newTally()
-	n := s.n
+	n := s.N()
 	m.newDX = growF(m.newDX, n)
 	m.newDY = growF(m.newDY, n)
 	if cap(m.resolved) < n {
@@ -540,130 +523,65 @@ func (m *Machine) DetectResolve(w *airspace.World) (tasks.DetectStats, time.Dura
 	}
 	newDX, newDY := m.newDX, m.newDY
 	resolved := m.resolved[:n]
-	copy(newDX, s.dx)
-	copy(newDY, s.dy)
 	for i := range resolved {
 		resolved[i] = false
 	}
 
-	// Broadphase index build from the machine's SoA mirror (viewed as
-	// airspace.Columns — same backing arrays, no copy) on the host pool,
-	// charged as one lane-blocked phase whatever the index. nil is the
+	// A broadphase index builds from the SoA mirror on the host pool,
+	// charged as one lane-blocked phase whatever the index; nil is the
 	// all-pairs scan.
 	var tab *broadphase.PairTable
 	if m.idx != nil {
-		m.cols = airspace.Columns{X: s.x, Y: s.y, DX: s.dx, DY: s.dy, Alt: s.alt}
-		tab = m.idx.Build(&m.cols, parexec.Resolve(m.pool))
-		m.parallel(t, "index", 0, n, func(core, lo, hi int) {
+		tab = m.idx.Build(&s.Columns, parexec.Resolve(m.pool))
+		m.parallel(t, "index", 0, n, func(_, core, lo, hi int) {
 			t.vecInstr[core] += uint64((hi-lo+Lanes-1)/Lanes) * viIndex
 		})
 	}
-	// With an index installed every pair block is charged as a gather
-	// from a candidate list, the all-pairs oracle's included.
+	m.scan.Prepare(n, parexec.Resolve(m.pool).Workers(), tab)
+	// Every scan walks the track's row in lane blocks: contiguous loads
+	// over the whole database, or, with an index installed, gathers
+	// from a candidate list (the all-pairs oracle's included).
 	blockCost := uint64(viPair)
 	if m.idx != nil {
 		blockCost += viGather
 	}
 
 	var conflicts, rotations, resolvedCount, unresolvedCount, pairChecks int64
-
-	// scanLane folds one trial record into the running minimum.
-	scanLane := func(i, p int, tx, ty, tdx, tdy, talt float64, vx, vy float64,
-		checks *uint64, earliest *float64, with *int32) {
-		if p == i || math.Abs(talt-s.alt[i]) >= airspace.AltBandFeet {
-			return
-		}
-		*checks++
-		tmin, tmax, ok := tasks.PairConflictAt(s.x[i], s.y[i], vx, vy, tx, ty, tdx, tdy)
-		if ok && tmin < tmax && tmin < *earliest {
-			*earliest = tmin
-			*with = int32(p)
-		}
-	}
-
-	// scan evaluates one candidate course for track i in lane blocks:
-	// contiguous loads over the whole database, or gather loads over the
-	// track's candidate row.
-	scan := func(core int, i int, vx, vy float64) (earliest float64, with int32, critical bool) {
-		earliest = airspace.SafeTime
-		with = airspace.NoConflict
-		var vi, checks uint64
-		if tab == nil {
-			for base := 0; base < n; base += Lanes {
-				var tx, ty, tdx, tdy, talt block
-				var valid mask
-				loadField(&tx, &valid, s.x, base, n)
-				loadField(&ty, &valid, s.y, base, n)
-				loadField(&tdx, &valid, s.dx, base, n)
-				loadField(&tdy, &valid, s.dy, base, n)
-				loadField(&talt, &valid, s.alt, base, n)
-				vi += blockCost
-				for l := 0; l < Lanes; l++ {
-					if !valid[l] {
-						continue
-					}
-					scanLane(i, base+l, tx[l], ty[l], tdx[l], tdy[l], talt[l], vx, vy,
-						&checks, &earliest, &with)
-				}
-			}
-		} else {
-			cand := tab.Candidates(i)
-			for base := 0; base < len(cand); base += Lanes {
-				end := base + Lanes
-				if end > len(cand) {
-					end = len(cand)
-				}
-				vi += blockCost
-				for _, p32 := range cand[base:end] {
-					p := int(p32)
-					scanLane(i, p, s.x[p], s.y[p], s.dx[p], s.dy[p], s.alt[p], vx, vy,
-						&checks, &earliest, &with)
-				}
-			}
-		}
-		t.vecInstr[core] += vi
-		atomic.AddInt64(&pairChecks, int64(checks))
-		return earliest, with, earliest < airspace.CriticalTime
-	}
-
-	m.parallel(t, "scanresolve", 0, n, func(core, lo, hi int) {
+	m.parallel(t, "scanresolve", 0, n, func(worker, core, lo, hi int) {
+		var vi uint64
+		var checks, rots int
 		for i := lo; i < hi; i++ {
 			a := &w.Aircraft[i]
 			a.ResetConflict()
-			tmin, with, critical := scan(core, i, s.dx[i], s.dy[i])
-			if !critical {
+			r := m.scan.Scan(&s.Columns, tab, worker, i, s.DX[i], s.DY[i])
+			checks += int(r.Checks)
+			scanCost := uint64((int(r.Visited)+Lanes-1)/Lanes) * blockCost
+			vi += scanCost
+			if !(r.TMin < airspace.CriticalTime) {
 				continue
 			}
 			atomic.AddInt64(&conflicts, 1)
 			a.Col = true
-			a.ColWith = with
-			a.TimeTill = tmin
-			base := geom.Vec2{X: s.dx[i], Y: s.dy[i]}
-			done := false
-			for _, deg := range tasks.RotationSchedule() {
-				atomic.AddInt64(&rotations, 1)
-				v := base.Rotate(deg)
-				a.BatX, a.BatY = v.X, v.Y
-				tmin, with, critical = scan(core, i, v.X, v.Y)
-				if !critical {
-					newDX[i], newDY[i] = v.X, v.Y
-					resolved[i] = true
-					atomic.AddInt64(&resolvedCount, 1)
-					done = true
-					break
-				}
-				a.ColWith = with
-				if tmin < a.TimeTill {
-					a.TimeTill = tmin
-				}
-			}
-			if !done {
+			a.ColWith = r.With
+			a.TimeTill = r.TMin
+			res := m.scan.ResolveSnapshot(&s.Columns, tab, worker, i, a)
+			checks += res.Checks
+			rots += res.Rotations
+			vi += uint64(res.Rotations) * scanCost
+			if !res.Resolved {
 				atomic.AddInt64(&unresolvedCount, 1)
+				continue
 			}
+			newDX[i], newDY[i] = res.DX, res.DY
+			resolved[i] = true
+			atomic.AddInt64(&resolvedCount, 1)
 		}
+		t.vecInstr[core] += vi
+		atomic.AddInt64(&pairChecks, int64(checks))
+		atomic.AddInt64(&rotations, int64(rots))
 	})
 
-	m.parallel(t, "commit", 0, n, func(core, lo, hi int) {
+	m.parallel(t, "commit", 0, n, func(_, core, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			if resolved[i] {
 				a := &w.Aircraft[i]
